@@ -12,7 +12,23 @@
 //!
 //! Because every cached value is deterministic in its key, a sweep produces
 //! bit-identical results with and without the cache, and regardless of which
-//! worker thread computed an entry first.
+//! worker thread computed an entry.
+//!
+//! # Single-flight misses
+//!
+//! Each key is computed at most once at a time. The first lookup that misses
+//! a key becomes its *leader* and computes the value outside the lock; a
+//! lookup of the same key while the leader is still computing waits for the
+//! leader's value instead of computing it again (counted as
+//! [`KindStats::coalesced`]). A leader whose computation fails — by error or
+//! by panic — withdraws the key and wakes its waiters, and the next of them
+//! takes over as leader. Parallel workers racing through the same layers
+//! therefore pay for each block SVD once.
+//!
+//! The computation of a value never calls back into the cache: every
+//! derived value fetches its prerequisites *before* it leads, so a leader
+//! never waits on another key while others wait on it, and waiting cannot
+//! deadlock.
 //!
 //! # Bounded residency
 //!
@@ -27,13 +43,13 @@
 //! misses — results stay bit-identical under any budget, including budgets
 //! too small to hold a single entry.
 //!
-//! [`DecompCache::cache_stats`] exposes per-kind hit/miss/eviction counters
-//! and the resident-byte estimate for observability.
+//! [`DecompCache::cache_stats`] exposes per-kind hit/miss/coalesced/eviction
+//! counters and the resident-byte estimate for observability.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use imc_array::{search_best_window, ArrayConfig, WindowSearchResult};
 use imc_linalg::{Matrix, Precision, Svd};
@@ -65,13 +81,16 @@ pub struct CachedDecomposition {
     pub relative_error: f64,
 }
 
-/// Hit/miss/eviction counters of one cached kind.
+/// Hit/miss/coalesced/eviction counters of one cached kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that had to compute their value.
     pub misses: u64,
+    /// Hits that waited for another thread's in-flight miss of the same key
+    /// instead of computing the value again (a subset of `hits`).
+    pub coalesced: u64,
     /// Entries evicted by the resident-byte budget.
     pub evictions: u64,
 }
@@ -97,13 +116,15 @@ impl KindStats {
         KindStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
+            coalesced: self.coalesced + other.coalesced,
             evictions: self.evictions + other.evictions,
         }
     }
 }
 
 /// A point-in-time snapshot of the cache's observability counters: per-kind
-/// hits, misses and evictions, plus the estimated resident heap bytes.
+/// hits, misses, coalesced hits and evictions, plus the estimated resident
+/// heap bytes.
 ///
 /// Counters of different kinds are read without a global lock, so a snapshot
 /// taken while other threads query the cache is approximate across kinds
@@ -178,22 +199,38 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// One kind-homogeneous shard: a concurrent get-or-compute map with its own
-/// hit/miss/eviction counters.
+/// The lock-protected state of one shard: the stored entries and the keys
+/// whose leader is computing them right now.
+#[derive(Debug)]
+struct ShardMap<K, V> {
+    entries: HashMap<K, Entry<V>>,
+    in_flight: HashSet<K>,
+}
+
+/// One kind-homogeneous shard: a concurrent single-flight get-or-compute
+/// map with its own counters.
 #[derive(Debug)]
 struct Shard<K, V> {
-    map: Mutex<HashMap<K, Entry<V>>>,
+    map: Mutex<ShardMap<K, V>>,
+    /// Signalled whenever a leader withdraws an in-flight key.
+    landed: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
+    coalesced: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl<K, V> Default for Shard<K, V> {
     fn default() -> Self {
         Self {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(ShardMap {
+                entries: HashMap::new(),
+                in_flight: HashSet::new(),
+            }),
+            landed: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -204,6 +241,7 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
         KindStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
@@ -213,6 +251,7 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
         self.map
             .lock()
             .expect("cache lock poisoned")
+            .entries
             .values()
             .map(|e| e.last_used)
             .min()
@@ -220,14 +259,36 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
 
     /// Removes the least-recently-used entry, returning its byte estimate.
     fn evict_lru(&self) -> Option<usize> {
-        let mut map = self.map.lock().expect("cache lock poisoned");
-        let key = map
+        let entries = &mut self.map.lock().expect("cache lock poisoned").entries;
+        let key = entries
             .iter()
             .min_by_key(|(_, e)| e.last_used)
             .map(|(k, _)| k.clone())?;
-        let entry = map.remove(&key)?;
+        let entry = entries.remove(&key)?;
         self.evictions.fetch_add(1, Ordering::Relaxed);
         Some(entry.bytes)
+    }
+}
+
+/// A key this thread leads. Dropping it withdraws the key from the
+/// in-flight set and wakes the key's waiters: after a landed value they
+/// find the entry, after a failed computation (an error or a panic
+/// unwinding through the leader) the next of them leads.
+struct Flight<'a, K: Eq + Hash, V> {
+    shard: &'a Shard<K, V>,
+    key: K,
+}
+
+impl<K: Eq + Hash, V> Drop for Flight<'_, K, V> {
+    fn drop(&mut self) {
+        // Never panic here: this runs while a panicking leader unwinds.
+        self.shard
+            .map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .in_flight
+            .remove(&self.key);
+        self.shard.landed.notify_all();
     }
 }
 
@@ -235,10 +296,10 @@ impl<K: Eq + Hash + Clone, V> Shard<K, V> {
 /// decompositions, plus the (array-dependent) mapping searches.
 ///
 /// All methods are get-or-compute: a hit clones an [`Arc`] (or a `Copy`
-/// value), a miss computes outside the lock and inserts. Concurrent misses on
-/// the same key may compute the value twice; both computations yield
-/// identical values (every entry is a pure function of its key), so the
-/// first insertion winning is harmless.
+/// value), a miss computes outside the lock and inserts. Misses are
+/// single-flight: a lookup of a key that another thread is computing waits
+/// for that value instead of computing it again, and a computation that
+/// fails hands the key to the next waiter.
 ///
 /// An unbounded cache ([`DecompCache::new`] /
 /// [`DecompCache::with_precision`]) keeps every entry for its lifetime — the
@@ -349,45 +410,65 @@ impl DecompCache {
         V: Clone,
     {
         let mut map = shard.map.lock().expect("cache lock poisoned");
-        let entry = map.get_mut(key)?;
+        let entry = map.entries.get_mut(key)?;
         entry.last_used = self.tick();
         shard.hits.fetch_add(1, Ordering::Relaxed);
         Some(entry.value.clone())
     }
 
+    /// The single-flight get-or-compute behind every lookup: a stored value
+    /// is a hit; otherwise, if another thread is computing the key, waits
+    /// for it (a coalesced hit) or, once that leader fails, retries; else
+    /// becomes the key's leader and runs `compute` outside the lock (a
+    /// miss).
+    ///
+    /// `compute` must never call back into the cache. A leader that waited
+    /// on another key could close a cycle of threads waiting on each other;
+    /// callers fetch every prerequisite first and move it into `compute`.
     fn get_or_try<K, V, F>(&self, shard: &Shard<K, V>, key: K, compute: F) -> Result<V>
     where
         K: Eq + Hash + Clone,
         V: Clone + Residency,
         F: FnOnce() -> Result<V>,
     {
-        if let Some(v) = self.probe(shard, &key) {
-            return Ok(v);
-        }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        let v = compute()?;
-        let mut inserted = false;
-        let value = {
-            let mut map = shard.map.lock().expect("cache lock poisoned");
-            let tick = self.tick();
-            let entry = map.entry(key).or_insert_with(|| {
-                inserted = true;
-                Entry {
-                    bytes: v.resident_bytes(),
-                    value: v,
-                    last_used: tick,
+        let mut map = shard.map.lock().expect("cache lock poisoned");
+        let mut waited = false;
+        loop {
+            if let Some(entry) = map.entries.get_mut(&key) {
+                entry.last_used = self.tick();
+                shard.hits.fetch_add(1, Ordering::Relaxed);
+                if waited {
+                    shard.coalesced.fetch_add(1, Ordering::Relaxed);
                 }
-            });
-            entry.last_used = tick;
-            if inserted {
-                self.resident_bytes
-                    .fetch_add(entry.bytes, Ordering::Relaxed);
+                return Ok(entry.value.clone());
             }
-            entry.value.clone()
-        };
-        if inserted {
-            self.enforce_budget();
+            if !map.in_flight.contains(&key) {
+                break;
+            }
+            waited = true;
+            map = shard.landed.wait(map).expect("cache lock poisoned");
         }
+        map.in_flight.insert(key.clone());
+        drop(map);
+        shard.misses.fetch_add(1, Ordering::Relaxed);
+
+        let flight = Flight { shard, key };
+        let value = compute()?;
+        let bytes = value.resident_bytes();
+        let entry = Entry {
+            value: value.clone(),
+            bytes,
+            last_used: self.tick(),
+        };
+        shard
+            .map
+            .lock()
+            .expect("cache lock poisoned")
+            .entries
+            .insert(flight.key.clone(), entry);
+        self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
+        drop(flight);
+        self.enforce_budget();
         Ok(value)
     }
 
@@ -556,8 +637,8 @@ impl DecompCache {
         )
     }
 
-    /// A snapshot of the per-kind hit/miss/eviction counters and the
-    /// resident-byte estimate.
+    /// A snapshot of the per-kind hit/miss/coalesced/eviction counters and
+    /// the resident-byte estimate.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             weights: self.weights.stats(),
@@ -699,6 +780,25 @@ mod tests {
         assert!(cache
             .lowrank_cycles(&shape, 0, 4, ArrayConfig::square(32).unwrap(), true)
             .is_err());
+    }
+
+    #[test]
+    fn a_panicking_leader_hands_the_key_to_the_next_caller() {
+        let cache = DecompCache::new();
+        let shape = shape();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_try(&cache.weights, (shape, 3), || -> Result<Arc<Tensor4>> {
+                panic!("leader exploded")
+            })
+        }));
+        assert!(panicked.is_err(), "the leader's panic must propagate");
+
+        // The key is no longer in flight: the next caller leads and computes.
+        let weight = cache.weight(&shape, 3).unwrap();
+        assert_eq!(*weight, Tensor4::kaiming_for(&shape, 3).unwrap());
+        let stats = cache.cache_stats().weights;
+        assert_eq!((stats.misses, stats.hits, stats.coalesced), (2, 0, 0));
+        assert!(cache.weights.map.lock().unwrap().in_flight.is_empty());
     }
 
     #[test]

@@ -56,7 +56,8 @@ fn hits_return_the_same_arc_for_weights_matrices_and_decompositions() {
 }
 
 /// Many threads racing on the same key must all end up holding the single
-/// stored object, no matter which thread computed (or double-computed) it.
+/// stored object, computed exactly once: misses are single-flight, so the
+/// racers that lose wait for the leader's value.
 #[test]
 fn concurrent_lookups_converge_on_one_shared_object_per_key() {
     let cache = DecompCache::new();
@@ -91,6 +92,54 @@ fn concurrent_lookups_converge_on_one_shared_object_per_key() {
             "decompositions must be one shared object"
         );
     }
+
+    let stats = cache.cache_stats();
+    for (kind, counters) in stats.per_kind() {
+        let touched = ["weights", "matrices", "block_svds", "decompositions"].contains(&kind);
+        assert_eq!(
+            counters.misses,
+            u64::from(touched),
+            "{kind}: {counters:?} (one computation per key, however many threads race)"
+        );
+        assert!(counters.coalesced <= counters.hits, "{kind}: {counters:?}");
+    }
+}
+
+/// Threads racing on a key whose computation fails must each get the error:
+/// a failing leader wakes its waiters, who retry rather than hang.
+#[test]
+fn racing_lookups_of_an_invalid_key_all_fail_and_none_hangs() {
+    let cache = Arc::new(DecompCache::new());
+    let threads = 8;
+    let barrier = Arc::new(Barrier::new(threads));
+    let (done, results) = std::sync::mpsc::channel();
+    // Unscoped threads, so a hung lookup fails the timeout below instead of
+    // blocking a scope join forever.
+    let handles: Vec<_> = (0..threads)
+        .map(|_| {
+            let (cache, barrier, done) = (Arc::clone(&cache), Arc::clone(&barrier), done.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                // 144 input columns in 4 groups are 36-wide blocks: rank 20
+                // exceeds min(16, 36) = 16.
+                let failed = cache.decomposition(&shape(), 0, 4, 20).is_err();
+                done.send(failed).unwrap();
+            })
+        })
+        .collect();
+    for thread in 0..threads {
+        let failed = results
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("lookup {thread} of {threads} hung"));
+        assert!(failed, "every racer must get the error");
+    }
+    for handle in handles {
+        handle.join().unwrap();
+    }
+    // The valid prerequisites were shared; only the failing step repeats.
+    let stats = cache.cache_stats();
+    assert_eq!(stats.block_svds.misses, 1);
+    assert_eq!(stats.decompositions.misses, threads as u64);
 }
 
 /// Deriving ranks from one shared spectrum must be monotone: a higher rank
@@ -248,6 +297,7 @@ fn hit_rate_accessors_report_defined_exact_fractions() {
     let kind = KindStats {
         hits: 3,
         misses: 1,
+        coalesced: 0,
         evictions: 2,
     };
     assert_eq!(kind.hit_rate(), 0.75);
@@ -255,6 +305,7 @@ fn hit_rate_accessors_report_defined_exact_fractions() {
         KindStats {
             hits: 5,
             misses: 0,
+            coalesced: 0,
             evictions: 0,
         }
         .hit_rate(),
@@ -264,6 +315,7 @@ fn hit_rate_accessors_report_defined_exact_fractions() {
         KindStats {
             hits: 0,
             misses: 4,
+            coalesced: 0,
             evictions: 0,
         }
         .hit_rate(),
@@ -276,11 +328,13 @@ fn hit_rate_accessors_report_defined_exact_fractions() {
         weights: KindStats {
             hits: 9,
             misses: 1,
+            coalesced: 0,
             evictions: 0,
         },
         decompositions: KindStats {
             hits: 0,
             misses: 10,
+            coalesced: 0,
             evictions: 0,
         },
         ..CacheStats::default()

@@ -31,13 +31,18 @@
 //! # Execution model
 //!
 //! Grid cells are independent (each one is seeded from the experiment seed
-//! and shares no mutable state), so [`Experiment::run`] distributes them over
-//! a scoped worker pool ([`crate::runtime`]) — one worker per available
-//! hardware thread by default, tunable via [`Experiment::parallelism`] —
-//! while a decomposition cache ([`imc_core::DecompCache`]) shares the
-//! seeded weights, per-block SVDs and window searches across cells. Both are
-//! pure optimizations: records come back in grid order with values
-//! bit-identical to a serial, uncached run.
+//! and shares no mutable state), and so are the layers of one cell: a
+//! network evaluation is a per-layer step plus an in-order fold
+//! ([`crate::network`]). [`Experiment::run`] therefore flattens the grid
+//! into (cell, layer) jobs and runs them on a scoped worker pool
+//! ([`crate::runtime`]) — one worker per available hardware thread by
+//! default, tunable via [`Experiment::parallelism`] — folding each cell into
+//! its record once its last layer is done. A decomposition cache
+//! ([`imc_core::DecompCache`]) shares the seeded weights, per-block SVDs
+//! and window searches across cells; its misses are single-flight, so two
+//! workers that reach the same layer of two cells compute its block SVDs
+//! once. Both are pure optimizations: records come back in grid order with
+//! values bit-identical to a serial, uncached run.
 //!
 //! The cache is per-run for [`Experiment::run`]; [`Experiment::run_in`]
 //! instead borrows the long-lived cache of an
@@ -67,7 +72,9 @@ use imc_nn::NetworkArch;
 use imc_tensor::LayerKind;
 
 use crate::experiments::DEFAULT_SEED;
-use crate::network::{evaluate_strategy_with, CompressionMethod, NetworkEvaluation};
+use crate::network::{
+    evaluate_layer, fold_layers, CompressionMethod, LayerStep, NetworkEvaluation,
+};
 use crate::runtime;
 use crate::session::EvalSession;
 
@@ -244,12 +251,14 @@ impl Experiment {
     }
 
     /// Sets how many worker threads the sweep uses (clamped to at least 1;
-    /// defaults to one per available hardware thread).
+    /// defaults to one per available hardware thread). The workers share
+    /// out the (cell, layer) jobs of the grid.
     ///
-    /// Grid cells are seeded independently, so the worker count changes
-    /// neither the record order nor any value: `parallelism(1)` and
-    /// `parallelism(n)` produce byte-identical runs. `parallelism(1)`
-    /// executes inline on the calling thread with no thread machinery.
+    /// Grid cells and their layers are seeded independently, so the worker
+    /// count changes neither the record order nor any value:
+    /// `parallelism(1)` and `parallelism(n)` produce byte-identical runs.
+    /// `parallelism(1)` executes inline on the calling thread with no
+    /// thread machinery.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = Some(workers.max(1));
@@ -513,7 +522,7 @@ impl Experiment {
     fn run_with_sink(
         self,
         cache: Option<&DecompCache>,
-        sink: Option<RecordSink<'_>>,
+        mut sink: Option<RecordSink<'_>>,
     ) -> Result<ExperimentRun> {
         if self.frontier {
             return Err(Error::Builder {
@@ -550,7 +559,13 @@ impl Experiment {
         for network_index in 0..self.networks.len() {
             for &(size, array) in &arrays {
                 for strategy_index in 0..self.strategies.len() {
-                    cells.push((cells.len(), network_index, size, array, strategy_index));
+                    cells.push(GridCell {
+                        cell_index: cells.len(),
+                        network_index,
+                        size,
+                        array,
+                        strategy_index,
+                    });
                 }
             }
         }
@@ -583,68 +598,101 @@ impl Experiment {
             spec_hash: spec.content_hash(),
         });
 
-        let workers = self
-            .parallelism_override
-            .or(self.parallelism)
-            .unwrap_or_else(runtime::default_parallelism);
-        let evaluate_cell = |index: usize| -> Result<RunRecord> {
-            let (cell_index, network_index, size, array, strategy_index) = cells[index];
-            let arch = &self.networks[network_index];
-            let strategy = self.strategies[strategy_index].as_ref();
-            let eval =
-                evaluate_strategy_with(arch, strategy, array, self.seed, self.precision, cache)?;
-            Ok(RunRecord {
-                cell_index,
-                network_index,
-                array_size: size,
-                strategy_index,
-                eval,
-            })
+        let mut records = Vec::with_capacity(cells.len());
+        self.evaluate_cells(&cells, cache, |record| {
+            if let Some(sink) = sink.as_mut() {
+                sink(&record)?;
+            }
+            records.push(record);
+            Ok(())
+        })?;
+        Ok(ExperimentRun::new(records, manifest))
+    }
+
+    /// Evaluates `cells` on the worker pool and hands their records to
+    /// `deliver` in the order of `cells` — the one scheduler behind
+    /// [`Experiment::run`], [`Experiment::run_streaming`] and the frontier
+    /// search's rounds.
+    ///
+    /// The unit of parallel work is one layer of one cell: the cells'
+    /// layers are flattened into (cell, layer) jobs, cell-major, and each
+    /// cell is folded into its record as soon as its last layer completes.
+    /// Workers therefore spread over the layers of a cell instead of walking
+    /// whole cells in lockstep, where they would meet on the same block SVD
+    /// at the same time.
+    ///
+    /// A serial run stops at the first failing job. A parallel run lets
+    /// in-flight jobs finish and starts no new ones. Either way the error
+    /// returned is that of the first failing cell in grid order (at its
+    /// first failing layer), and `deliver` has seen exactly the records
+    /// before it. An error returned by `deliver` ends the run the same way.
+    fn evaluate_cells(
+        &self,
+        cells: &[GridCell],
+        cache: Option<&DecompCache>,
+        mut deliver: impl FnMut(RunRecord) -> Result<()>,
+    ) -> Result<()> {
+        let layer_count = |cell: &GridCell| self.networks[cell.network_index].layers.len();
+        let jobs: Vec<(usize, usize)> = cells
+            .iter()
+            .enumerate()
+            .flat_map(|(position, cell)| (0..layer_count(cell)).map(move |layer| (position, layer)))
+            .collect();
+        let job = |index: usize| {
+            let (position, layer) = jobs[index];
+            let cell = &cells[position];
+            evaluate_layer(
+                &self.networks[cell.network_index],
+                layer,
+                self.strategies[cell.strategy_index].as_ref(),
+                cell.array,
+                self.seed,
+                self.precision,
+                cache,
+            )
         };
 
-        // Serial runs stop at the first failing cell; parallel runs finish
-        // in-flight work and then surface the error of the first failing cell
-        // *in grid order*, so both modes report the identical error.
-        let mut records = Vec::with_capacity(cells.len());
-        match sink {
-            None => {
-                if workers <= 1 {
-                    for index in 0..cells.len() {
-                        records.push(evaluate_cell(index)?);
-                    }
-                } else {
-                    for result in runtime::run_indexed(workers, cells.len(), evaluate_cell) {
-                        records.push(result?);
-                    }
+        // Steps arrive in job order, so the steps collected so far belong
+        // to the first cell not yet delivered. `accept` folds and delivers
+        // every cell whose layers are all in (a cell without layers is
+        // complete from the start).
+        let mut steps = Vec::new();
+        let mut delivered = 0;
+        let mut accept = |step: Option<LayerStep>| -> Result<()> {
+            steps.extend(step);
+            while let Some(cell) = cells.get(delivered) {
+                if steps.len() < layer_count(cell) {
+                    break;
                 }
+                let eval = fold_layers(
+                    &self.networks[cell.network_index],
+                    self.strategies[cell.strategy_index].as_ref(),
+                    cell.array,
+                    steps.drain(..),
+                );
+                deliver(RunRecord {
+                    cell_index: cell.cell_index,
+                    network_index: cell.network_index,
+                    array_size: cell.size,
+                    strategy_index: cell.strategy_index,
+                    eval,
+                })?;
+                delivered += 1;
             }
-            Some(sink) => {
-                // The streaming engine delivers completed records in grid
-                // order while later cells still compute, so the sink sees
-                // the same order (and the run surfaces the same first
-                // grid-order error) as the collecting paths above.
-                let mut failure = None;
-                runtime::run_indexed_each(workers, cells.len(), evaluate_cell, |_, result| {
-                    match result.and_then(|record| {
-                        sink(&record)?;
-                        Ok(record)
-                    }) {
-                        Ok(record) => {
-                            records.push(record);
-                            true
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            false
-                        }
-                    }
-                });
-                if let Some(e) = failure {
-                    return Err(e);
-                }
-            }
+            Ok(())
+        };
+        let mut outcome = accept(None);
+        if outcome.is_ok() {
+            let workers = self
+                .parallelism_override
+                .or(self.parallelism)
+                .unwrap_or_else(runtime::default_parallelism);
+            runtime::run_indexed_each(workers, jobs.len(), job, |_, step| {
+                outcome = step.and_then(|step| accept(Some(step)));
+                outcome.is_ok()
+            });
         }
-        Ok(ExperimentRun::new(records, manifest))
+        outcome
     }
 
     /// Runs the adaptive frontier search: instead of evaluating the full
@@ -669,9 +717,9 @@ impl Experiment {
     /// known — and then prunes every cell that an evaluated series point
     /// provably dominates, using the accuracy of the nearest evaluated
     /// higher-rank chain mate as an upper bound and an exact analytic
-    /// cycles probe (mapping-only, no SVD) for low-rank cells. Candidates of
-    /// one round run in parallel; the result is identical for every worker
-    /// count.
+    /// cycles probe (mapping-only, no SVD) for low-rank cells. The layers of
+    /// one round's candidates run in parallel as (cell, layer) jobs; the
+    /// result is identical for every worker count.
     ///
     /// # Exactness
     ///
@@ -779,11 +827,13 @@ impl Experiment {
                         .or_default()
                         .push(id);
                     cells.push(FrontierCell {
-                        cell_index: id,
-                        network_index,
-                        size,
-                        array,
-                        strategy_index,
+                        grid: GridCell {
+                            cell_index: id,
+                            network_index,
+                            size,
+                            array,
+                            strategy_index,
+                        },
                         series,
                         probe: None,
                     });
@@ -794,7 +844,7 @@ impl Experiment {
         for chain in &mut chains {
             // Descending accuracy along the chain; insertion (= grid) order
             // among strategies sharing an axis position.
-            chain.sort_by_key(|&id| (classes[cells[id].strategy_index].axis, id));
+            chain.sort_by_key(|&id| (classes[cells[id].grid.strategy_index].axis, id));
         }
         chains.sort_by_key(|chain| chain[0]);
 
@@ -804,20 +854,16 @@ impl Experiment {
         // will report and lets pruning see cycle plateaus before paying for
         // the decomposition.
         for cell in &mut cells {
-            if let Some(cfg) = &classes[cell.strategy_index].lowrank {
+            if let Some(cfg) = &classes[cell.grid.strategy_index].lowrank {
                 cell.probe = Some(probe_lowrank_cycles(
-                    &self.networks[cell.network_index],
+                    &self.networks[cell.grid.network_index],
                     cfg,
-                    cell.array,
+                    cell.grid.array,
                     cache,
                 )?);
             }
         }
 
-        let workers = self
-            .parallelism_override
-            .or(self.parallelism)
-            .unwrap_or_else(runtime::default_parallelism);
         let mut evaluated: Vec<Option<RunRecord>> = (0..cells.len()).map(|_| None).collect();
         let mut pruned = vec![false; cells.len()];
         let mut cells_evaluated = 0usize;
@@ -836,40 +882,13 @@ impl Experiment {
             if batch.is_empty() {
                 break;
             }
-            let evaluate_cell = |index: usize| -> Result<RunRecord> {
-                let cell = &cells[batch[index]];
-                let arch = &self.networks[cell.network_index];
-                let strategy = self.strategies[cell.strategy_index].as_ref();
-                let eval = evaluate_strategy_with(
-                    arch,
-                    strategy,
-                    cell.array,
-                    self.seed,
-                    self.precision,
-                    cache,
-                )?;
-                Ok(RunRecord {
-                    cell_index: cell.cell_index,
-                    network_index: cell.network_index,
-                    array_size: cell.size,
-                    strategy_index: cell.strategy_index,
-                    eval,
-                })
-            };
-            let mut results = Vec::with_capacity(batch.len());
-            if workers <= 1 {
-                for index in 0..batch.len() {
-                    results.push(evaluate_cell(index)?);
-                }
-            } else {
-                for result in runtime::run_indexed(workers, batch.len(), evaluate_cell) {
-                    results.push(result?);
-                }
-            }
-            cells_evaluated += results.len();
-            for (offset, record) in results.into_iter().enumerate() {
-                evaluated[batch[offset]] = Some(record);
-            }
+            let round: Vec<GridCell> = batch.iter().map(|&id| cells[id].grid).collect();
+            self.evaluate_cells(&round, cache, |record| {
+                cells_evaluated += 1;
+                let id = record.cell_index;
+                evaluated[id] = Some(record);
+                Ok(())
+            })?;
             prune_dominated(&cells, &chains, &evaluated, &mut pruned);
         }
 
@@ -925,14 +944,21 @@ pub struct FrontierOutcome {
     pub grid_cells: usize,
 }
 
-/// One cell of the frontier search grid, with its chain/series
-/// classification and the optional analytic cycles probe.
-struct FrontierCell {
+/// One cell of the sweep grid: its global grid index and the (network,
+/// array, strategy) triple it evaluates.
+#[derive(Debug, Clone, Copy)]
+struct GridCell {
     cell_index: usize,
     network_index: usize,
     size: usize,
     array: ArrayConfig,
     strategy_index: usize,
+}
+
+/// One cell of the frontier search grid, with its chain/series
+/// classification and the optional analytic cycles probe.
+struct FrontierCell {
+    grid: GridCell,
     /// Dense id of the (network, array, method-series) group this cell
     /// competes in.
     series: usize,
@@ -1447,29 +1473,43 @@ mod tests {
 
     #[test]
     fn builder_reproduces_direct_evaluation_bit_for_bit() {
-        let arch = resnet20();
+        // A network without layers (buildable through the public fields)
+        // is a cell with no layer jobs.
+        let layerless = NetworkArch {
+            layers: Vec::new(),
+            ..resnet20()
+        };
         let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
         let method = CompressionMethod::LowRank(cfg);
-        let run = Experiment::new()
-            .network(arch.clone())
-            .array(64)
-            .method(method)
-            .seed(DEFAULT_SEED)
-            .run()
+        for arch in [resnet20(), layerless] {
+            let direct = evaluate(
+                &arch,
+                &method,
+                ArrayConfig::square(64).unwrap(),
+                DEFAULT_SEED,
+            )
             .unwrap();
-        let direct = evaluate(
-            &arch,
-            &method,
-            ArrayConfig::square(64).unwrap(),
-            DEFAULT_SEED,
-        )
-        .unwrap();
-        let built = &run.records()[0].eval;
-        assert_eq!(built.cycles, direct.cycles);
-        assert_eq!(built.accuracy, direct.accuracy);
-        assert_eq!(built.parameters, direct.parameters);
-        assert_eq!(built.method, direct.method);
-        assert_eq!(built.schedules, direct.schedules);
+            for workers in [1, 2] {
+                let run = Experiment::new()
+                    .network(arch.clone())
+                    .network(arch.clone())
+                    .array(64)
+                    .method(method)
+                    .seed(DEFAULT_SEED)
+                    .parallelism(workers)
+                    .run()
+                    .unwrap();
+                assert_eq!(run.records().len(), 2);
+                for record in run.records() {
+                    let built = &record.eval;
+                    assert_eq!(built.cycles, direct.cycles);
+                    assert_eq!(built.accuracy, direct.accuracy);
+                    assert_eq!(built.parameters, direct.parameters);
+                    assert_eq!(built.method, direct.method);
+                    assert_eq!(built.schedules, direct.schedules);
+                }
+            }
+        }
     }
 
     fn small_grid() -> Experiment {

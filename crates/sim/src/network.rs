@@ -3,9 +3,13 @@
 //! [`evaluate_strategy`] is the engine: it walks the network once, charges
 //! linear and non-compressible layers with the dense im2col cost shared by
 //! every method, and delegates each compressible convolution to the
-//! [`CompressionStrategy`] under evaluation. [`CompressionMethod`] is the
-//! closed enum of the paper's five methods, kept as a convenient,
-//! copyable description that lowers onto the built-in strategies.
+//! [`CompressionStrategy`] under evaluation. The walk is a per-layer step
+//! and an in-order fold of the steps' outcomes; the
+//! [`Experiment`](crate::experiment::Experiment) scheduler runs the same two
+//! halves, with the steps of many cells as parallel jobs.
+//! [`CompressionMethod`] is the closed enum of the paper's five methods,
+//! kept as a convenient, copyable description that lowers onto the
+//! built-in strategies.
 
 use imc_array::{linear_mapping, ArrayConfig};
 use imc_core::{CompressionConfig, DecompCache, Precision};
@@ -14,8 +18,8 @@ use imc_nn::{AccuracyModel, NetworkArch};
 use imc_tensor::LayerKind;
 
 use crate::strategy::{
-    dense_im2col_outcome, tile_schedule, CompressionStrategy, ConvContext, DoReFa, Im2col, LowRank,
-    Pairs, PatDnn, Sdk,
+    dense_im2col_outcome, tile_schedule, CompressionStrategy, ConvContext, DoReFa, Im2col,
+    LayerOutcome, LowRank, Pairs, PatDnn, Sdk,
 };
 use crate::{Error, Result};
 
@@ -182,54 +186,107 @@ pub fn evaluate_strategy_with(
             });
         }
     }
-    let accuracy_model = AccuracyModel::for_network(arch);
+    let layers = (0..arch.layers.len())
+        .map(|index| evaluate_layer(arch, index, strategy, array, seed, precision, cache))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(fold_layers(arch, strategy, array, layers))
+}
+
+/// One layer's share of a network evaluation: what the layer costs, plus
+/// its dense weight count (the weight of its error in the accuracy model).
+#[derive(Debug)]
+pub(crate) struct LayerStep {
+    outcome: LayerOutcome,
+    dense_params: usize,
+}
+
+/// Evaluates layer `index` of `arch`: the per-layer step of
+/// [`evaluate_strategy_with`]. Steps share no state, so the steps of one
+/// network (and of many networks) may run on any threads in any order;
+/// [`fold_layers`] restores the layer order.
+///
+/// Linear layers and non-compressible convolutions are charged the dense
+/// im2col cost common to every method; compressible convolutions are
+/// delegated to the strategy with the layer's derived seed.
+pub(crate) fn evaluate_layer(
+    arch: &NetworkArch,
+    index: usize,
+    strategy: &dyn CompressionStrategy,
+    array: ArrayConfig,
+    seed: u64,
+    precision: Precision,
+    cache: Option<&DecompCache>,
+) -> Result<LayerStep> {
+    let layer = &arch.layers[index];
+    match layer.kind {
+        LayerKind::Linear => {
+            let shape = layer.linear.expect("linear layers carry a linear shape");
+            let mapped = linear_mapping(&shape, array);
+            Ok(LayerStep {
+                outcome: LayerOutcome {
+                    cycles: mapped.cycles() as f64,
+                    parameters: shape.weight_count(),
+                    relative_error: 0.0,
+                    schedules: vec![tile_schedule(
+                        mapped.rows_used,
+                        mapped.cols_used,
+                        mapped.loads as u64,
+                        &array,
+                        PeripheralKind::None,
+                    )],
+                },
+                dense_params: shape.weight_count(),
+            })
+        }
+        LayerKind::Conv => {
+            let shape = layer.conv.expect("conv layers carry a conv shape");
+            let outcome = if layer.compressible {
+                let ctx = ConvContext {
+                    shape: &shape,
+                    array,
+                    seed: seed.wrapping_add(index as u64).wrapping_mul(0x9E37_79B9),
+                    precision,
+                };
+                match cache {
+                    Some(cache) => strategy.compress_conv_cached(&ctx, cache)?,
+                    None => strategy.compress_conv(&ctx)?,
+                }
+            } else {
+                // Non-compressible layers of every method share the dense
+                // im2col mapping.
+                dense_im2col_outcome(&shape, array)
+            };
+            Ok(LayerStep {
+                outcome,
+                dense_params: shape.weight_count(),
+            })
+        }
+    }
+}
+
+/// Folds the per-layer steps of `arch` — given in layer order — into the
+/// network evaluation: sums cycles and parameters in that order, applies
+/// the array's input-precision scale, and asks the strategy for the
+/// network accuracy.
+pub(crate) fn fold_layers(
+    arch: &NetworkArch,
+    strategy: &dyn CompressionStrategy,
+    array: ArrayConfig,
+    layers: impl IntoIterator<Item = LayerStep>,
+) -> NetworkEvaluation {
     let mut cycles = 0.0_f64;
     let mut parameters = 0usize;
     let mut schedules = Vec::new();
     let mut layer_errors: Vec<(f64, f64)> = Vec::new();
-
-    for (index, layer) in arch.layers.iter().enumerate() {
-        let layer_seed = seed.wrapping_add(index as u64).wrapping_mul(0x9E37_79B9);
-        match layer.kind {
-            LayerKind::Linear => {
-                let shape = layer.linear.expect("linear layers carry a linear shape");
-                let mapped = linear_mapping(&shape, array);
-                cycles += mapped.cycles() as f64;
-                parameters += shape.weight_count();
-                schedules.push(tile_schedule(
-                    mapped.rows_used,
-                    mapped.cols_used,
-                    mapped.loads as u64,
-                    &array,
-                    PeripheralKind::None,
-                ));
-                layer_errors.push((0.0, shape.weight_count() as f64));
-            }
-            LayerKind::Conv => {
-                let shape = layer.conv.expect("conv layers carry a conv shape");
-                let dense_params = shape.weight_count();
-                let outcome = if layer.compressible {
-                    let ctx = ConvContext {
-                        shape: &shape,
-                        array,
-                        seed: layer_seed,
-                        precision,
-                    };
-                    match cache {
-                        Some(cache) => strategy.compress_conv_cached(&ctx, cache)?,
-                        None => strategy.compress_conv(&ctx)?,
-                    }
-                } else {
-                    // Non-compressible layers of every method share the dense
-                    // im2col mapping.
-                    dense_im2col_outcome(&shape, array)
-                };
-                cycles += outcome.cycles;
-                parameters += outcome.parameters;
-                layer_errors.push((outcome.relative_error, dense_params as f64));
-                schedules.extend(outcome.schedules);
-            }
-        }
+    for LayerStep {
+        outcome,
+        dense_params,
+    } in layers
+    {
+        cycles += outcome.cycles;
+        parameters += outcome.parameters;
+        layer_errors.push((outcome.relative_error, dense_params as f64));
+        schedules.extend(outcome.schedules);
     }
 
     // Non-default ADC/input precision stretches (or shrinks) the bit-serial
@@ -243,9 +300,9 @@ pub fn evaluate_strategy_with(
         cycles *= imc_quant::activation_cycle_scale(array.input_bits);
     }
 
-    let accuracy = strategy.network_accuracy(&accuracy_model, &layer_errors);
+    let accuracy = strategy.network_accuracy(&AccuracyModel::for_network(arch), &layer_errors);
 
-    Ok(NetworkEvaluation {
+    NetworkEvaluation {
         network: arch.name.clone(),
         method: strategy.label(),
         array_size: array.rows,
@@ -253,7 +310,7 @@ pub fn evaluate_strategy_with(
         accuracy,
         parameters,
         schedules,
-    })
+    }
 }
 
 /// Evaluates `arch` under `method` on square arrays of configuration `array`.

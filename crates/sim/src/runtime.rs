@@ -1,12 +1,14 @@
 //! Dependency-free scoped work pool for embarrassingly parallel sweeps.
 //!
-//! The experiment grids are collections of independent cells (every cell is
-//! seeded independently and shares no mutable state), so the scheduler can be
-//! minimal: an atomic cursor hands out cell indices to a fixed set of scoped
-//! worker threads, and each worker writes its result into the slot reserved
-//! for that index. Results come back in **input order** regardless of which
-//! worker computed them or in which order they finished, so a parallel run is
-//! indistinguishable from a serial one.
+//! A sweep is a list of independent jobs — for the
+//! [`Experiment`](crate::experiment::Experiment) scheduler, one job per
+//! layer of each grid cell; for Table I, one per (layer, group count). Jobs
+//! are seeded independently and share no mutable state (the decomposition
+//! cache they share is pure memoization), so the pool can be minimal: an
+//! atomic cursor hands out job indices to the calling thread and a fixed
+//! set of scoped worker threads. Results come back in **input order**
+//! regardless of which thread computed them or in which order they
+//! finished, so a parallel run is indistinguishable from a serial one.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -21,12 +23,15 @@ pub fn default_parallelism() -> usize {
 }
 
 /// Runs `jobs` invocations of `job` (one per index in `0..jobs`) on up to
-/// `workers` scoped threads, returning the results in index order.
+/// `workers` threads — the calling thread and `workers - 1` scoped ones —
+/// returning the results in index order.
 ///
 /// With `workers <= 1` (or a single job) the jobs run inline on the calling
-/// thread — the exact serial loop, with no thread machinery at all. Worker
-/// threads claim indices from an atomic cursor, so scheduling is dynamic
-/// (long and short cells interleave without static partitioning imbalance).
+/// thread — the exact serial loop, with no thread machinery at all. Threads
+/// claim indices from an atomic cursor, so scheduling is dynamic (long and
+/// short jobs interleave without static partitioning imbalance). Each
+/// thread keeps its `(index, result)` pairs to itself; they are put in
+/// index order after the join, so finishing a job takes no lock.
 ///
 /// # Panics
 ///
@@ -42,27 +47,30 @@ where
         return (0..jobs).map(&job).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= jobs {
-                    break;
-                }
-                let result = job(index);
-                *slots[index].lock().expect("result slot poisoned") = Some(result);
-            });
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= jobs {
+                return done;
+            }
+            done.push((index, job(index)));
         }
+    };
+    let mut results = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut results = work();
+        for helper in helpers {
+            results.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        results
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every claimed index stores a result before the scope joins")
-        })
-        .collect()
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Like [`run_indexed`], but delivers each result to `each` **in index
@@ -73,7 +81,9 @@ where
 ///
 /// `each(index, result)` runs on the calling thread; returning `false`
 /// stops the run early (workers finish their in-flight job and claim no
-/// more indices).
+/// more indices). While the next result in order is not ready, the calling
+/// thread computes jobs itself, and it sleeps only once every job is
+/// claimed; a worker wakes it only by filling the slot it sleeps on.
 ///
 /// With `workers <= 1` (or a single job) everything runs inline on the
 /// calling thread — the exact serial loop.
@@ -101,6 +111,8 @@ where
 
     struct Slots<T> {
         results: Vec<Option<T>>,
+        /// The index the consumer sleeps on, if it sleeps.
+        awaited: Option<usize>,
         panicked: bool,
     }
 
@@ -108,9 +120,25 @@ where
     let stop = AtomicBool::new(false);
     let state = Mutex::new(Slots {
         results: (0..jobs).map(|_| None).collect(),
+        awaited: None,
         panicked: false,
     });
     let ready = Condvar::new();
+    let claim = || {
+        if stop.load(Ordering::Relaxed) {
+            return None;
+        }
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        (index < jobs).then_some(index)
+    };
+    let store = |index: usize, result: T| {
+        let mut slots = state.lock().expect("result slots poisoned");
+        slots.results[index] = Some(result);
+        if slots.awaited == Some(index) {
+            drop(slots);
+            ready.notify_one();
+        }
+    };
 
     // Flags a panicking worker to the consumer, which would otherwise wait
     // forever on the slot that worker was going to fill.
@@ -129,45 +157,52 @@ where
         }
     }
 
+    // However the consumer leaves — done, stopped early, or unwinding from
+    // a panic of its own job — the workers claim nothing more.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 1..workers {
             scope.spawn(|| {
                 let _flag = PanicFlag {
                     state: &state,
                     ready: &ready,
                 };
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= jobs {
-                        break;
-                    }
-                    let result = job(index);
-                    state.lock().expect("result slots poisoned").results[index] = Some(result);
-                    ready.notify_all();
+                while let Some(index) = claim() {
+                    store(index, job(index));
                 }
             });
         }
+        let _stop = StopOnDrop(&stop);
         for index in 0..jobs {
-            let result = {
+            let result = loop {
                 let mut slots = state.lock().expect("result slots poisoned");
-                loop {
-                    if let Some(result) = slots.results[index].take() {
+                if let Some(result) = slots.results[index].take() {
+                    break result;
+                }
+                if slots.panicked {
+                    // The scope join re-raises the worker's panic here.
+                    return;
+                }
+                if let Some(claimed) = claim() {
+                    drop(slots);
+                    let result = job(claimed);
+                    if claimed == index {
                         break result;
                     }
-                    if slots.panicked {
-                        // Let the workers drain; the scope join below
-                        // re-raises the worker's panic on this thread.
-                        stop.store(true, Ordering::Relaxed);
-                        return;
-                    }
+                    store(claimed, result);
+                } else {
+                    slots.awaited = Some(index);
                     slots = ready.wait(slots).expect("result slots poisoned");
+                    slots.awaited = None;
                 }
             };
             if !each(index, result) {
-                stop.store(true, Ordering::Relaxed);
                 return;
             }
         }

@@ -543,10 +543,11 @@ impl ServeMetrics {
                     .iter()
                     .map(|(name, kind)| {
                         format!(
-                            "{}:{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{}}}",
+                            "{}:{{\"hits\":{},\"misses\":{},\"coalesced\":{},\"evictions\":{},\"hit_rate\":{}}}",
                             json_string(name),
                             kind.hits,
                             kind.misses,
+                            kind.coalesced,
                             kind.evictions,
                             format_rate(kind.hit_rate()),
                         )
@@ -1607,6 +1608,26 @@ mod tests {
         assert_eq!(metrics.response_cache_hits, 1);
         assert_eq!(metrics.runs_coalesced, 0);
         assert!(metrics.latency_count() >= 2);
+
+        // Every cache kind of the session reports its coalesced hits next
+        // to hits, misses and evictions.
+        let metrics_json = client.metrics().unwrap();
+        let parsed = JsonValue::parse(metrics_json.trim()).expect("metrics is valid JSON");
+        let sessions = parsed.get("sessions").and_then(JsonValue::as_array);
+        let kinds = sessions
+            .and_then(|sessions| sessions.first())
+            .and_then(|session| session.get("kinds"))
+            .and_then(JsonValue::as_object)
+            .expect("the run created a session");
+        assert_eq!(kinds.len(), 6);
+        for (kind, counters) in kinds {
+            for field in ["hits", "misses", "coalesced", "evictions"] {
+                assert!(
+                    counters.get(field).and_then(JsonValue::as_u64).is_some(),
+                    "{kind}.{field} missing from {metrics_json}"
+                );
+            }
+        }
         client.shutdown_server().unwrap();
         server.wait();
     }

@@ -93,8 +93,8 @@ impl EvalSession {
         &self.cache
     }
 
-    /// A snapshot of the session cache's per-kind hit/miss/eviction counters
-    /// and resident-byte estimate.
+    /// A snapshot of the session cache's per-kind hit/miss/coalesced/eviction
+    /// counters and resident-byte estimate.
     pub fn stats(&self) -> CacheStats {
         self.cache.cache_stats()
     }

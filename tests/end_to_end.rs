@@ -207,6 +207,65 @@ fn external_strategy_plugs_in_without_touching_imc_sim() {
     assert!(halved.energy(&params) < baseline.energy(&params));
 }
 
+/// An external strategy that refuses the one 32→64 convolution on 32-row
+/// arrays and every 16→16 convolution on 64-row arrays: two failing cells,
+/// the later one failing at earlier layers.
+struct RefusesSomeLayers;
+
+impl CompressionStrategy for RefusesSomeLayers {
+    fn label(&self) -> String {
+        "refuses-some-layers (external)".to_owned()
+    }
+
+    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome, imc::sim::Error> {
+        let (rows, shape) = (ctx.array.rows, ctx.shape);
+        let channels = (shape.in_channels, shape.out_channels);
+        if (rows, channels) == (32, (32, 64)) || (rows, channels) == (64, (16, 16)) {
+            return Err(imc::sim::Error::strategy(format!(
+                "refusing the {}->{} layer with seed {:#x} on the {rows}-row array",
+                channels.0, channels.1, ctx.seed
+            )));
+        }
+        Ok(imc::strategy::dense_im2col_outcome(shape, ctx.array))
+    }
+}
+
+#[test]
+fn a_failing_layer_fails_the_run_identically_at_every_worker_count() {
+    // Grid order: (32, im2col), (32, refusing), (64, im2col), (64, refusing).
+    let grid = |workers: usize| {
+        Experiment::new()
+            .network(resnet20())
+            .arrays([32, 64])
+            .method(CompressionMethod::Uncompressed { sdk: false })
+            .strategy(RefusesSomeLayers)
+            .parallelism_override(workers)
+    };
+    let serial = format!("{:?}", grid(1).run().unwrap_err());
+    assert!(
+        serial.contains("32->64") && serial.contains("32-row"),
+        "the first failing cell in grid order fails the run: {serial}"
+    );
+    for workers in [1, 4] {
+        let parallel = format!("{:?}", grid(workers).run().unwrap_err());
+        assert_eq!(parallel, serial, "workers={workers}");
+
+        let mut delivered = Vec::new();
+        let err = grid(workers)
+            .run_streaming(&mut |record| {
+                delivered.push(record.cell_index);
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(format!("{err:?}"), serial, "streaming, workers={workers}");
+        assert_eq!(
+            delivered,
+            vec![0],
+            "the sink sees exactly the records before the failing cell (workers={workers})"
+        );
+    }
+}
+
 #[test]
 fn external_strategy_is_wire_addressable_through_the_registry() {
     // The spec-driven counterpart of the test above: registering the

@@ -94,6 +94,31 @@ fn warm_session_table1_rerun_is_bitwise_identical_serial_and_parallel() {
 }
 
 #[test]
+fn cold_parallel_fig6_computes_every_cache_entry_exactly_once() {
+    // Parallel workers that meet on the same layer wait for each other's
+    // block SVDs instead of computing them twice: every worker count makes
+    // the serial run's misses, kind by kind.
+    let serial = EvalSession::new();
+    fig6_in(&resnet20(), 64, DEFAULT_SEED, Some(1), &serial).unwrap();
+    let expected = serial.stats();
+    assert_eq!(
+        expected.block_svds.misses, 72,
+        "18 compressible layers x 4 group counts"
+    );
+    for workers in [2, 8] {
+        let session = EvalSession::new();
+        fig6_in(&resnet20(), 64, DEFAULT_SEED, Some(workers), &session).unwrap();
+        let stats = session.stats();
+        for ((kind, got), (_, want)) in stats.per_kind().iter().zip(expected.per_kind()) {
+            assert_eq!(
+                got.misses, want.misses,
+                "{kind}, workers={workers}: {got:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn fig6_and_table1_share_one_session_cache() {
     // The two generators walk the same layers: table1 after fig6 must reuse
     // the fig6 SVD work (block_svds hits) instead of recomputing it.
