@@ -6,7 +6,7 @@ use imc_bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use imc_array::ArrayConfig;
-use imc_core::{lowrank_im2col_cycles, search_lowrank_window, RankSpec};
+use imc_core::{lowrank_im2col_cycles, search_lowrank_window, CompressionConfig, RankSpec};
 use imc_nn::resnet20;
 use imc_sim::experiments::{fig9_for, DEFAULT_SEED};
 use imc_sim::report::fig9_markdown;
@@ -17,13 +17,17 @@ fn proposed_vs_traditional_cycles(array: &ArrayConfig) -> (u64, u64) {
     let mut proposed = 0u64;
     for (_, shape) in arch.compressible_convs() {
         for rank in RankSpec::paper_divisors() {
-            let k1 = rank.resolve(shape.out_channels, shape.max_rank());
-            traditional += lowrank_im2col_cycles(shape, k1, 1, array)
+            let (g1, k1) = CompressionConfig::traditional(rank).resolve(shape);
+            traditional += lowrank_im2col_cycles(shape, k1, g1, array)
                 .expect("valid config")
                 .total();
-            let per_group_cols = shape.im2col_rows() / 4;
-            let k4 = rank.resolve(shape.out_channels, shape.out_channels.min(per_group_cols));
-            proposed += search_lowrank_window(shape, k4, 4, array)
+            let proposed_config = CompressionConfig {
+                rank,
+                groups: 4,
+                use_sdk: true,
+            };
+            let (g4, k4) = proposed_config.resolve(shape);
+            proposed += search_lowrank_window(shape, k4, g4, array)
                 .expect("search succeeds")
                 .total();
         }

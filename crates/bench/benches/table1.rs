@@ -6,7 +6,7 @@ use imc_bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use imc_array::ArrayConfig;
-use imc_core::{lowrank_im2col_cycles, search_lowrank_window, RankSpec};
+use imc_core::{lowrank_im2col_cycles, search_lowrank_window, CompressionConfig};
 use imc_nn::resnet20;
 use imc_sim::experiments::{table1, DEFAULT_SEED};
 use imc_sim::report::table1_markdown;
@@ -15,18 +15,14 @@ fn table1_cycle_sweep(array: &ArrayConfig) -> u64 {
     let arch = resnet20();
     let mut total = 0u64;
     for (_, shape) in arch.compressible_convs() {
-        for groups in [1usize, 2, 4, 8] {
-            for rank in RankSpec::paper_divisors() {
-                let per_group_cols = shape.im2col_rows() / groups;
-                let max_rank = shape.out_channels.min(per_group_cols).max(1);
-                let k = rank.resolve(shape.out_channels, max_rank);
-                total += search_lowrank_window(shape, k, groups, array)
-                    .expect("search succeeds")
-                    .total();
-                total += lowrank_im2col_cycles(shape, k, groups, array)
-                    .expect("valid config")
-                    .total();
-            }
+        for config in CompressionConfig::table1_grid(true) {
+            let (groups, k) = config.resolve(shape);
+            total += search_lowrank_window(shape, k, groups, array)
+                .expect("search succeeds")
+                .total();
+            total += lowrank_im2col_cycles(shape, k, groups, array)
+                .expect("valid config")
+                .total();
         }
     }
     total

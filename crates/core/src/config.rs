@@ -1,5 +1,7 @@
 //! Compression configuration: rank selection and group count.
 
+use imc_tensor::ConvShape;
+
 use crate::{Error, Result};
 
 /// How the per-layer rank `k` is chosen.
@@ -120,6 +122,17 @@ impl CompressionConfig {
         out
     }
 
+    /// Resolves this configuration on one layer into `(groups, rank)`: the
+    /// group count is clamped to the layer's `n = IC·K_h·K_w`, and the rank
+    /// to the largest a group block admits, `min(m, n / groups)`. Every path
+    /// that compresses a layer resolves it here.
+    pub fn resolve(&self, shape: &ConvShape) -> (usize, usize) {
+        let n = shape.im2col_rows();
+        let groups = self.groups.min(n);
+        let max_rank = shape.out_channels.min(n / groups).max(1);
+        (groups, self.rank.resolve(shape.out_channels, max_rank))
+    }
+
     /// A short human-readable label, e.g. `"g=4, k=m/8, SDK"`.
     pub fn label(&self) -> String {
         format!(
@@ -149,6 +162,23 @@ mod tests {
     fn absolute_rank_resolution() {
         assert_eq!(RankSpec::Absolute(5).resolve(64, 64), 5);
         assert_eq!(RankSpec::Absolute(100).resolve(64, 32), 32);
+    }
+
+    #[test]
+    fn layer_resolution_clamps_groups_then_rank() {
+        let config = |groups, rank| CompressionConfig {
+            rank,
+            groups,
+            use_sdk: false,
+        };
+        // m = 64 output channels, n = 16·3·3 = 144.
+        let shape = ConvShape::new(16, 64, 3, 3, 1, 1, 8, 8).unwrap();
+        assert_eq!(config(4, RankSpec::Divisor(4)).resolve(&shape), (4, 16));
+        // A group block of 144/8 = 18 columns admits rank 18 at most.
+        assert_eq!(config(8, RankSpec::Divisor(2)).resolve(&shape), (8, 18));
+        // n = 1·1·1 = 1: one group of one column, rank 1.
+        let thin = ConvShape::new(1, 64, 1, 1, 1, 0, 8, 8).unwrap();
+        assert_eq!(config(4, RankSpec::Absolute(9)).resolve(&thin), (1, 1));
     }
 
     #[test]

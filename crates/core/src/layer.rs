@@ -68,12 +68,7 @@ impl LayerCompression {
         precision: Precision,
     ) -> Result<Self> {
         let w = weight.to_im2col_matrix();
-        let groups = config.groups.min(shape.im2col_rows());
-        // The per-group block has n/groups columns; the resolvable rank is
-        // bounded by min(m, n/groups).
-        let per_group_cols = shape.im2col_rows() / groups;
-        let max_rank = shape.out_channels.min(per_group_cols).max(1);
-        let k = config.rank.resolve(shape.out_channels, max_rank);
+        let (groups, k) = config.resolve(shape);
 
         let decomposition = GroupLowRank::compute_with_precision(&w, groups, k, precision)?;
         let relative_error = decomposition.relative_error(&w)?;
@@ -118,10 +113,7 @@ impl LayerCompression {
         seed: u64,
         cache: &DecompCache,
     ) -> Result<Self> {
-        let groups = config.groups.min(shape.im2col_rows());
-        let per_group_cols = shape.im2col_rows() / groups;
-        let max_rank = shape.out_channels.min(per_group_cols).max(1);
-        let k = config.rank.resolve(shape.out_channels, max_rank);
+        let (groups, k) = config.resolve(shape);
 
         let cached = cache.decomposition(shape, seed, groups, k)?;
         let cycles = cache.lowrank_cycles(shape, k, groups, array, config.use_sdk)?;

@@ -454,10 +454,10 @@ impl Experiment {
     /// Runs the sweep like [`Experiment::run`], additionally delivering
     /// every completed record to `sink` **in grid order, as soon as it and
     /// every earlier record are available** — while later cells are still
-    /// computing. This is what lets a sweep worker stream records to disk
-    /// (via [`crate::record::RunWriter`]): a worker killed mid-sweep leaves
-    /// every already-delivered record safely written instead of losing the
-    /// whole shard.
+    /// computing. This is what lets `imc run --out` stream records to disk
+    /// (via [`crate::record::RunWriter`]): a run killed mid-sweep leaves
+    /// every already-delivered record safely written, and
+    /// [`RunWriter::resume`](crate::record::RunWriter::resume) keeps them.
     ///
     /// The returned run is identical to what [`Experiment::run`] produces.
     ///
@@ -1076,10 +1076,7 @@ fn probe_lowrank_cycles(
             LayerKind::Conv => {
                 let shape = layer.conv.expect("conv layers carry a conv shape");
                 if layer.compressible {
-                    let groups = cfg.groups.min(shape.im2col_rows());
-                    let per_group_cols = shape.im2col_rows() / groups;
-                    let max_rank = shape.out_channels.min(per_group_cols).max(1);
-                    let k = cfg.rank.resolve(shape.out_channels, max_rank);
+                    let (groups, k) = cfg.resolve(&shape);
                     let mapped = match cache {
                         Some(cache) => {
                             cache.lowrank_cycles(&shape, k, groups, array, cfg.use_sdk)?

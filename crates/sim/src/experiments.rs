@@ -250,12 +250,16 @@ fn table1_impl(
     let mut rows = Vec::new();
     for (gi, &groups) in groups_sweep.iter().enumerate() {
         for rank in rank_sweep {
+            // The SDK setting plays no part in resolving a layer's rank.
+            let config = CompressionConfig {
+                rank,
+                groups,
+                use_sdk: false,
+            };
             // Accuracy from the error profiles.
             let mut errors: Vec<(f64, f64)> = Vec::with_capacity(convs.len());
             for (li, (_, shape)) in convs.iter().enumerate() {
-                let per_group_cols = shape.im2col_rows() / groups.min(shape.im2col_rows());
-                let max_rank = shape.out_channels.min(per_group_cols).max(1);
-                let k = rank.resolve(shape.out_channels, max_rank);
+                let (_, k) = config.resolve(shape);
                 errors.push((
                     profiles[li][gi].relative_error_for_rank(k),
                     weights_share[li],
@@ -278,10 +282,7 @@ fn table1_impl(
                             imc_tensor::LayerKind::Conv => {
                                 let shape = layer.conv.expect("conv layers carry a conv shape");
                                 if layer.compressible {
-                                    let g = groups.min(shape.im2col_rows());
-                                    let per_group_cols = shape.im2col_rows() / g;
-                                    let max_rank = shape.out_channels.min(per_group_cols).max(1);
-                                    let k = rank.resolve(shape.out_channels, max_rank);
+                                    let (g, k) = config.resolve(&shape);
                                     total += match cache {
                                         Some(cache) => cache
                                             .lowrank_cycles(&shape, k, g, *array, *use_sdk)?

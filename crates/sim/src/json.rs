@@ -74,19 +74,6 @@ impl JsonValue {
         Ok(value)
     }
 
-    /// An integer number value, in the raw-token form
-    /// [`JsonValue::Number`] stores. The convenient constructor for
-    /// documents built value-by-value (the sweep-state ledger of
-    /// [`crate::sweep`] is assembled this way).
-    pub fn integer(value: u64) -> JsonValue {
-        JsonValue::Number(value.to_string())
-    }
-
-    /// A string value.
-    pub fn string(value: impl Into<String>) -> JsonValue {
-        JsonValue::String(value.into())
-    }
-
     /// Member of an object by key.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {

@@ -23,7 +23,7 @@
 //!   networks × array sizes × strategies; the figure generators in
 //!   [`experiments`] are thin sweeps over it.
 //!
-//! Nine service-scale layers sit on top of the experiment facade:
+//! Seven service-scale layers sit on top of the experiment facade:
 //!
 //! * [`session`] — the long-lived [`EvalSession`]: one bounded, shared
 //!   decomposition cache reused across [`Experiment::run_in`] calls, so
@@ -48,14 +48,10 @@
 //!   HTTP/1.1 service that executes POSTed spec documents on shared
 //!   per-precision sessions, coalesces identical in-flight requests onto
 //!   one computation, and reports live cache/latency metrics.
-//! * [`sweep`] — the fault-tolerant sweep orchestrator: a spec's cell grid
-//!   as a dynamic queue of cell-range chunks over worker *processes*, with
-//!   a checkpointed state ledger, salvage of torn shards, bounded retries
-//!   of dead workers, and a streaming byte-identical merge.
 //! * [`store`] — the persistent result store: a content-addressed directory
 //!   of completed run documents keyed by [`serve::RunKey`], written
-//!   atomically and shared by `imc run`, the server's two-tier cache and
-//!   the sweep orchestrator, so warm latency survives process restarts.
+//!   atomically and shared by `imc run`, `imc sweep` and the server's
+//!   two-tier cache, so warm latency survives process restarts.
 //!
 //! (The [`json`] module holds the shared hand-rolled JSON value model both
 //! wire formats are built on.)
@@ -79,7 +75,6 @@ pub mod session;
 pub mod spec;
 pub mod store;
 pub mod strategy;
-pub mod sweep;
 pub mod synth;
 
 pub use experiment::{Experiment, ExperimentRun, FrontierOutcome, RunRecord};
@@ -101,7 +96,6 @@ pub use spec::{
 };
 pub use store::{GcReport, RunStore, StoreEntry, VerifyReport};
 pub use strategy::{CompressionStrategy, ConvContext, LayerOutcome};
-pub use sweep::{SweepConfig, SweepEvent, SweepReport};
 pub use synth::{ChannelRamp, StageSpec, SyntheticNetSpec};
 
 // The cache-observability types surfaced by `EvalSession::stats`; defined
@@ -164,17 +158,9 @@ pub enum Error {
     /// A filesystem operation failed. Kept distinct from the format errors
     /// ([`Error::Record`] / [`Error::Spec`]) because I/O failures are
     /// typically *transient*: the `imc` CLI maps this variant to its own
-    /// exit code so sweep orchestrators can retry a dead worker instead of
-    /// giving the whole sweep up.
+    /// exit code so a supervisor can tell a retry might succeed.
     Io {
         /// Description of the I/O failure.
-        what: String,
-    },
-    /// The sweep orchestrator failed (stale or corrupt state ledger, a
-    /// worker failing with a permanent error, or cells left unrecoverable
-    /// after the retry budget).
-    Sweep {
-        /// Description of the orchestration failure.
         what: String,
     },
 }
@@ -203,7 +189,6 @@ impl core::fmt::Display for Error {
             Error::Spec { what } => write!(f, "experiment spec error: {what}"),
             Error::Serve { what } => write!(f, "evaluation service error: {what}"),
             Error::Io { what } => write!(f, "I/O error: {what}"),
-            Error::Sweep { what } => write!(f, "sweep error: {what}"),
         }
     }
 }
@@ -222,8 +207,7 @@ impl std::error::Error for Error {
             | Error::Record { .. }
             | Error::Spec { .. }
             | Error::Serve { .. }
-            | Error::Io { .. }
-            | Error::Sweep { .. } => None,
+            | Error::Io { .. } => None,
         }
     }
 }

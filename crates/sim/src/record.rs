@@ -321,14 +321,14 @@ impl ExperimentRun {
     /// file — the crash-tolerant counterpart of the strict
     /// [`ExperimentRun::from_jsonl`].
     ///
-    /// A worker killed mid-sweep leaves a shard with a valid header, `n`
+    /// A run killed mid-write leaves a file with a valid header, `n`
     /// complete record lines and possibly one torn final line. This loader
     /// accepts that shape: it parses record lines until the first damaged
     /// one, drops everything from the damage on (crash truncation only ever
     /// tears the tail; anything else is corruption this loader refuses to
     /// guess about), and reports what it kept and what it lost in a
     /// [`RecoveredRun`] — including the covered `cell_index` span, which is
-    /// exactly the resume point a sweep orchestrator needs.
+    /// where a resumed run picks up ([`RunWriter::resume`]).
     ///
     /// # Errors
     ///
@@ -453,9 +453,9 @@ impl RecoveredRun {
 }
 
 /// Streams a run to a file record by record, flushing each line — so a
-/// worker killed at any moment leaves a header plus a complete-prefix of
-/// record lines (at worst one torn tail line), which
-/// [`ExperimentRun::from_jsonl_partial`] turns back into a resume point.
+/// process killed at any moment leaves a header plus a complete prefix of
+/// record lines (at worst one torn tail line), which [`RunWriter::resume`]
+/// keeps and appends to.
 ///
 /// The bytes produced by a completed writer are identical to
 /// [`ExperimentRun::to_jsonl`] of the same run.
@@ -498,6 +498,109 @@ impl RunWriter {
         })
     }
 
+    /// Reopens a file that an earlier, killed writer of the same run left
+    /// behind, keeping its complete records so only the rest needs
+    /// writing. The arguments are the ones [`RunWriter::create`] takes.
+    ///
+    /// * A missing file, or one holding only a torn prefix of the header,
+    ///   starts fresh, exactly like [`RunWriter::create`].
+    /// * Otherwise the file's first line must be, byte for byte, the header
+    ///   `create` writes. Its complete records (as
+    ///   [`ExperimentRun::from_jsonl_partial`] reads them) must run
+    ///   contiguously from `manifest.cells.start` and re-serialize to a
+    ///   byte prefix of the file. The file is cut after them, which drops
+    ///   at most a torn tail line, and [`RunWriter::written`] counts them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Spec`] when the file holds another run's header
+    /// (the file is left untouched), [`Error::Record`] when its records are
+    /// damaged in a way a crash cannot leave them, and [`Error::Io`] on
+    /// filesystem failure.
+    pub fn resume(
+        path: impl AsRef<Path>,
+        declared: usize,
+        manifest: &RunManifest,
+    ) -> Result<RunWriter> {
+        let path = path.as_ref();
+        let header = format!("{}\n", run_header_json(declared, Some(manifest)));
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => {
+                return Err(Error::Io {
+                    what: format!("could not read {}: {e}", path.display()),
+                })
+            }
+        };
+        if bytes.len() < header.len() && header.as_bytes().starts_with(&bytes) {
+            // Killed before its header landed: there is nothing to keep.
+            return RunWriter::create(path, declared, Some(manifest));
+        }
+        if !bytes.starts_with(header.as_bytes()) {
+            let first_line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+            let shown = &first_line[..first_line.len().min(2 * header.len())];
+            return Err(Error::Spec {
+                what: format!(
+                    "{} holds another run and was left untouched\n  \
+                     its header:      {}\n  expected header: {}",
+                    path.display(),
+                    String::from_utf8_lossy(shown),
+                    header.trim_end()
+                ),
+            });
+        }
+        // Only newline-terminated lines are complete; whatever follows the
+        // last newline is the torn line a crash left behind.
+        let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let complete = &bytes[..end];
+        let recovered = ExperimentRun::from_jsonl_partial(&String::from_utf8_lossy(complete))?;
+        let first = manifest.cells.start;
+        let planned = first..first + recovered.recovered();
+        if recovered.recovered() > 0 && recovered.covered != Some(planned.clone()) {
+            return Err(Error::Record {
+                what: format!(
+                    "{}: its records are not cells {}..{} in order",
+                    path.display(),
+                    planned.start,
+                    planned.end
+                ),
+            });
+        }
+        let mut kept = header;
+        for record in recovered.run.records() {
+            kept.push_str(&record.to_json_line()?);
+            kept.push('\n');
+        }
+        if !complete.starts_with(kept.as_bytes()) {
+            return Err(Error::Record {
+                what: format!(
+                    "{}: its records do not re-serialize to the bytes on disk",
+                    path.display()
+                ),
+            });
+        }
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|file| file.set_len(kept.len() as u64).map(|()| file))
+            .map_err(|e| Error::Io {
+                what: format!("could not reopen {}: {e}", path.display()),
+            })?;
+        Ok(RunWriter {
+            file,
+            path: path.to_path_buf(),
+            declared,
+            written: recovered.recovered(),
+        })
+    }
+
+    /// The number of records in the file: those [`RunWriter::resume`] kept
+    /// plus those written since.
+    pub fn written(&self) -> usize {
+        self.written
+    }
+
     /// Appends one record line and flushes it, so a crash after this call
     /// returns cannot lose the record.
     ///
@@ -531,7 +634,7 @@ impl RunWriter {
     /// Writes a deliberately torn prefix of `record`'s line — half the
     /// bytes, no newline — and flushes. This is the crash point the
     /// `IMC_FAULT_EXIT_AFTER_CELLS` fault-injection hook uses: the file is
-    /// left exactly as a worker killed mid-write leaves it.
+    /// left exactly as a process killed mid-write leaves it.
     ///
     /// # Errors
     ///
@@ -875,7 +978,7 @@ mod tests {
         );
 
         // Across shards, the strict merge still rejects the duplicate (the
-        // orchestrator-level guarantee).
+        // `imc merge` guarantee).
         let a = ExperimentRun::from_jsonl(&text).unwrap();
         let b = ExperimentRun::from_jsonl(&text).unwrap();
         let err = ExperimentRun::merge([a, b]).unwrap_err();
@@ -954,6 +1057,92 @@ mod tests {
         let mut writer = RunWriter::create(&path, 2, None).unwrap();
         writer.write_record(&run.records()[0]).unwrap();
         assert!(matches!(writer.finish(), Err(Error::Record { .. })));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_keeps_the_complete_records_and_cuts_the_torn_tail() {
+        let run = small_run();
+        let manifest = run.manifest().expect("spec-serializable").clone();
+        let declared = run.records().len();
+        let golden = run.to_jsonl().unwrap();
+        let header_len = golden.find('\n').unwrap() + 1;
+        let dir = std::env::temp_dir().join("imc_record_writer_unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("resumed_{}.jsonl", std::process::id()));
+        let on_disk = || std::fs::read_to_string(&path).unwrap();
+
+        // A killed writer: two complete records and half of the third.
+        let mut writer = RunWriter::create(&path, declared, Some(&manifest)).unwrap();
+        writer.write_record(&run.records()[0]).unwrap();
+        writer.write_record(&run.records()[1]).unwrap();
+        writer.write_torn_record(&run.records()[2]).unwrap();
+        drop(writer);
+        let mut writer = RunWriter::resume(&path, declared, &manifest).unwrap();
+        assert_eq!(writer.written(), 2, "the complete records are kept");
+        let prefix: String = golden.lines().take(3).map(|l| format!("{l}\n")).collect();
+        assert_eq!(on_disk(), prefix, "the torn line is cut");
+        for record in &run.records()[2..] {
+            writer.write_record(record).unwrap();
+        }
+        writer.finish().unwrap();
+        assert_eq!(on_disk(), golden);
+
+        // Resuming a complete file keeps every record and changes no byte.
+        let writer = RunWriter::resume(&path, declared, &manifest).unwrap();
+        assert_eq!(writer.written(), declared);
+        writer.finish().unwrap();
+        assert_eq!(on_disk(), golden);
+
+        // A record cut just before its newline is torn too.
+        std::fs::write(&path, &golden[..golden.len() - 1]).unwrap();
+        let writer = RunWriter::resume(&path, declared, &manifest).unwrap();
+        assert_eq!(writer.written(), declared - 1);
+        drop(writer);
+
+        // A torn header, or no file at all, starts fresh.
+        std::fs::write(&path, &golden[..header_len / 2]).unwrap();
+        assert_eq!(
+            RunWriter::resume(&path, declared, &manifest)
+                .unwrap()
+                .written(),
+            0
+        );
+        assert_eq!(on_disk(), golden[..header_len]);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            RunWriter::resume(&path, declared, &manifest)
+                .unwrap()
+                .written(),
+            0
+        );
+        assert_eq!(on_disk(), golden[..header_len]);
+
+        // Another run's file (here: other cells) is refused, naming both
+        // headers, and left untouched.
+        let mut other = manifest.clone();
+        other.cells = 0..2;
+        let mut writer = RunWriter::create(&path, 2, Some(&other)).unwrap();
+        writer.write_record(&run.records()[0]).unwrap();
+        drop(writer);
+        let before = on_disk();
+        let err = RunWriter::resume(&path, declared, &manifest).unwrap_err();
+        assert!(matches!(err, Error::Spec { .. }), "{err}");
+        let message = err.to_string();
+        assert!(
+            message.contains(before.lines().next().unwrap()),
+            "{message}"
+        );
+        assert!(message.contains(&golden[..header_len - 1]), "{message}");
+        assert_eq!(on_disk(), before);
+
+        // Records out of grid order are damage no crash leaves behind.
+        let lines: Vec<&str> = golden.lines().collect();
+        let shuffled = format!("{}\n{}\n", lines[0], lines[2]);
+        std::fs::write(&path, &shuffled).unwrap();
+        let err = RunWriter::resume(&path, declared, &manifest).unwrap_err();
+        assert!(matches!(err, Error::Record { .. }), "{err}");
+        assert_eq!(on_disk(), shuffled);
         std::fs::remove_file(&path).ok();
     }
 

@@ -76,7 +76,7 @@ where
 /// Like [`run_indexed`], but delivers each result to `each` **in index
 /// order as soon as it (and every earlier index) is available**, instead of
 /// collecting everything first. This is what lets a sweep stream records to
-/// disk while later cells are still computing: a worker killed mid-sweep
+/// disk while later cells are still computing: a run killed mid-sweep
 /// leaves every already-delivered record safely written.
 ///
 /// `each(index, result)` runs on the calling thread; returning `false`

@@ -3,11 +3,11 @@
 //! `imc sweep`.
 //!
 //! Every cache before this one — the session's decomposition cache, the
-//! server's response cache and single-flight map, the sweep's done shards —
-//! dies with its process. A [`RunStore`] makes warm latency a property of
-//! the *machine*: a run computed once (by any of the three execution
-//! layers) is written through to a store directory, and any later process
-//! serving the same [`RunKey`] reads the bytes back instead of recomputing.
+//! server's response cache and single-flight map — dies with its process.
+//! A [`RunStore`] makes warm latency a property of the *machine*: a run
+//! computed once (by any of the three execution layers) is written through
+//! to a store directory, and any later process serving the same [`RunKey`]
+//! reads the bytes back instead of recomputing.
 //! Because every run is deterministic, store-served bytes are
 //! **byte-identical to fresh compute at the same key** — the invariant all
 //! consumers rely on and the tests pin.
@@ -30,12 +30,13 @@
 //! version. Encoding the format version keeps entries written by an old
 //! reader from masquerading as valid after a format bump.
 //!
-//! Entries are whole response byte streams written with the sweep ledger's
-//! atomic idiom — temp file (pid-suffixed, so concurrent writers never
-//! share one), `fsync`, `rename`, best-effort directory `fsync` — so a
-//! crash leaves either no entry or a complete one, never a torn file.
-//! Concurrent writers of one key are safe *by construction*: identical keys
-//! imply identical bytes, so whichever rename lands last changes nothing.
+//! Entries are whole response byte streams written atomically
+//! (`write_atomically`: a temp file named by pid and a process-wide
+//! counter, so no two writers ever share one, then `fsync`, `rename`,
+//! best-effort directory `fsync`) — so a crash leaves either no entry or a
+//! complete one, never a torn file. Concurrent writers of one key, in one
+//! process or several, are safe *by construction*: identical keys imply
+//! identical bytes, so whichever rename lands last changes nothing.
 //!
 //! # The index
 //!
@@ -483,12 +484,12 @@ impl RunStore {
         Some(Arc::new(bytes))
     }
 
-    /// Writes `bytes` through as the entry of `key`, atomically: pid-tagged
-    /// temp file, fsync, rename, best-effort directory fsync. Two processes
-    /// racing the same key both succeed — their bytes are identical (same
-    /// key, deterministic compute), so last rename wins and nothing is
-    /// lost. When a budget is set, least-recently-used entries are evicted
-    /// until it holds again.
+    /// Writes `bytes` through as the entry of `key`, atomically (temp file,
+    /// fsync, rename, best-effort directory fsync). Two writers racing the
+    /// same key — threads of one process or separate processes — both
+    /// succeed: their bytes are identical (same key, deterministic compute),
+    /// so the last rename wins and nothing is lost. When a budget is set,
+    /// least-recently-used entries are evicted until it holds again.
     ///
     /// # Errors
     ///
@@ -499,21 +500,7 @@ impl RunStore {
         validate_entry(key, bytes)
             .map_err(|damage| record_error(format!("store put refused: {damage}")))?;
         let name = entry_name(key);
-        let target = self.dir.join(&name);
-        let tmp = self.dir.join(format!("{name}.{}.tmp", std::process::id()));
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp)
-                .map_err(|e| io_error(format!("could not create {}: {e}", tmp.display())))?;
-            file.write_all(bytes.as_bytes())
-                .and_then(|()| file.sync_all())
-                .map_err(|e| io_error(format!("could not write {}: {e}", tmp.display())))?;
-        }
-        std::fs::rename(&tmp, &target)
-            .map_err(|e| io_error(format!("could not commit {}: {e}", target.display())))?;
-        if let Ok(dir_handle) = std::fs::File::open(&self.dir) {
-            let _ = dir_handle.sync_all();
-        }
+        write_atomically(&self.dir, &name, bytes)?;
         let mut index = self.index.lock().expect("store index poisoned");
         let tick = index.next_tick();
         index.entries.insert(
@@ -653,27 +640,45 @@ impl RunStore {
         let _ = self.persist_index(index);
     }
 
-    /// Persists the index with the atomic idiom; the strict form used by
-    /// the explicit maintenance commands.
+    /// Persists the index atomically; the strict form used by the explicit
+    /// maintenance commands.
     fn persist_index(&self, index: &Index) -> Result<()> {
-        use std::io::Write;
-        let tmp = self
-            .dir
-            .join(format!("{INDEX_FILE}.{}.tmp", std::process::id()));
-        let target = self.dir.join(INDEX_FILE);
-        let mut file = std::fs::File::create(&tmp)
-            .map_err(|e| io_error(format!("could not create {}: {e}", tmp.display())))?;
-        file.write_all(index.to_json().as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| io_error(format!("could not write {}: {e}", tmp.display())))?;
-        drop(file);
-        std::fs::rename(&tmp, &target)
-            .map_err(|e| io_error(format!("could not commit {}: {e}", target.display())))?;
-        if let Ok(dir_handle) = std::fs::File::open(&self.dir) {
-            let _ = dir_handle.sync_all();
-        }
-        Ok(())
+        write_atomically(&self.dir, INDEX_FILE, &index.to_json())
     }
+}
+
+/// Replaces `dir/name` with `contents` so that a crash leaves either the old
+/// file or the whole new one: write a temp file, fsync it, rename it over
+/// the target, then fsync the directory (best-effort). The temp name joins
+/// the pid and a process-wide counter, so concurrent writers — threads of
+/// one process included — never share a temp file.
+fn write_atomically(dir: &Path, name: &str, contents: &str) -> Result<()> {
+    use std::io::Write;
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let tmp = dir.join(format!(
+        "{name}.{}.{}.tmp",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let target = dir.join(name);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(contents.as_bytes())
+                .and_then(|()| file.sync_all())
+        })
+        .and_then(|()| std::fs::rename(&tmp, &target));
+    if let Err(e) = written {
+        // Unique temp names are never reused, so a failed write cleans up.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(io_error(format!(
+            "could not write {}: {e}",
+            target.display()
+        )));
+    }
+    if let Ok(dir_handle) = std::fs::File::open(dir) {
+        let _ = dir_handle.sync_all();
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,15 +1042,62 @@ mod tests {
         b.put(&key, &bytes).unwrap();
         assert_eq!(a.get(&key).unwrap().as_str(), bytes);
         assert_eq!(b.get(&key).unwrap().as_str(), bytes);
-        // No temp or quarantine debris survived the race.
-        let debris: Vec<String> = std::fs::read_dir(&dir)
+        assert_no_debris(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn threads_racing_one_key_all_commit() {
+        // Threads of one process (a server's workers) putting the same key:
+        // each needs a temp file of its own, or the first rename takes the
+        // shared one and the other put fails.
+        const ROUNDS: usize = 40;
+        let dir = scratch("thread_race");
+        let spec = tiny_spec(DEFAULT_SEED);
+        let key = RunKey::of(&spec);
+        let bytes = run_bytes(&spec);
+        let store = RunStore::open(&dir).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let failures: Vec<String> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..ROUNDS)
+                            .filter_map(|round| {
+                                barrier.wait();
+                                let put = store.put(&key, &bytes);
+                                put.err().map(|e| format!("round {round}: {e}"))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .flat_map(|racer| racer.join().unwrap())
+                .collect()
+        });
+        assert!(
+            failures.is_empty(),
+            "{} of {} puts failed, first: {}",
+            failures.len(),
+            2 * ROUNDS,
+            failures[0]
+        );
+        assert_eq!(store.get(&key).unwrap().as_str(), bytes);
+        assert_no_debris(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// No temp or quarantine file survived in `dir`.
+    fn assert_no_debris(dir: &Path) {
+        let debris: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
             .filter_map(|d| d.ok())
             .filter_map(|d| d.file_name().to_str().map(str::to_owned))
             .filter(|name| name.ends_with(".tmp") || name.ends_with(".corrupt"))
             .collect();
         assert!(debris.is_empty(), "{debris:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! | `imc report` | run JSON lines → the table1/fig6 text reports |
 //! | `imc serve`  | spec JSON over HTTP → run JSON lines over HTTP |
 //! | `imc call`   | client for a running `imc serve` (run/metrics/health/shutdown) |
-//! | `imc sweep`  | spec JSON → merged run, fault-tolerantly, across worker processes |
+//! | `imc sweep`  | spec JSON → run JSON lines in a file, resumable after a crash |
 //! | `imc store`  | persistent result store maintenance (ls, verify, gc, rm) |
 //!
 //! The binary (`src/bin/imc.rs`) is a thin wrapper over
 //! [`main_from_args`]; [`run_command`] is the same entry point with
-//! library-style error handling, used by `examples/shard_sweep.rs` to drive
-//! the CLI in-process. Every file argument accepts `-` for stdin, and
+//! library-style error handling, for driving the CLI in-process. Every file
+//! argument accepts `-` for stdin, and
 //! `--out` writes to a file instead of stdout, so the commands compose both
 //! ways: `imc spec fig6 | imc run - | imc report fig6 -`.
 //!
@@ -27,7 +27,6 @@
 //! instead.
 
 use std::io::Read;
-use std::path::Path;
 use std::time::Duration;
 
 use imc_sim::experiments::{
@@ -36,10 +35,8 @@ use imc_sim::experiments::{
 };
 use imc_sim::record::RunWriter;
 use imc_sim::report::{fig6_markdown, table1_csv, table1_markdown};
-use imc_sim::sweep::{self, SweepEvent};
 use imc_sim::{
     ExperimentRun, ExperimentSpec, Registry, RunKey, RunStore, ServeClient, ServeConfig, Server,
-    SweepConfig,
 };
 
 use crate::{Error, Result};
@@ -59,7 +56,7 @@ COMMANDS:
     report    Render a run file as a text report (table1, fig6)
     serve     Run the long-lived evaluation server (spec in, run out)
     call      Talk to a running server (run, metrics, health, shutdown)
-    sweep     Run a spec across worker processes with checkpoint/resume
+    sweep     Run a spec to a file, resuming a killed run where it stopped
     store     Inspect and maintain a persistent result store (ls, verify,
               gc, rm); `--store DIR` on run/serve/call/sweep fills it
     help      Show this help, or `imc help <COMMAND>` for one command
@@ -78,7 +75,7 @@ EXIT CODES (so supervisors can tell what is worth retrying):
     3   run-record format error — the data is malformed; retrying cannot help
     4   I/O or service failure — transient; safe to retry
     —   death by signal (kill -9, fault injection) reaches the supervisor as
-        no exit code at all; `imc sweep` retries these
+        no exit code at all; `imc sweep --resume` finishes such a run
 ";
 
 const SPEC_HELP: &str = "\
@@ -131,11 +128,11 @@ pairs, dorefa). Unknown names fail with a spec error listing what is
 registered.
 
 With `--out`, records stream to the file as cells finish (header first, one
-flushed line per record), so a run killed mid-sweep leaves a shard whose
-complete prefix `imc sweep` can salvage and resume from. The bytes are
-identical to the buffered stdout form. Setting IMC_FAULT_EXIT_AFTER_CELLS=k
-makes the process write k records plus one torn line and abort — the
-deterministic stand-in for `kill -9` used by the fault-tolerance tests.
+flushed line per record), so a run killed mid-sweep leaves a complete prefix
+of records that `imc sweep --resume` keeps. The bytes are identical to the
+buffered stdout form. Setting IMC_FAULT_EXIT_AFTER_CELLS=k makes the process
+write k records plus one torn line and abort — the deterministic stand-in
+for `kill -9` used by the crash-resume tests.
 
 A spec with \"frontier\": true runs the adaptive frontier search instead of
 the exhaustive grid: only the cells on each method series' accuracy/cycles
@@ -146,54 +143,33 @@ own cells — and are always written buffered.
 ";
 
 const SWEEP_HELP: &str = "\
-imc sweep — run a spec across worker processes, fault-tolerantly
+imc sweep — run a spec to a file, resuming a killed run where it stopped
 
 USAGE:
     imc sweep <SPEC|-> --out <FILE> [OPTIONS]
 
 OPTIONS:
-    --out <FILE>              Destination of the merged run (required).
-    --dir <DIR>               Working directory for shards and the state
-                              ledger (default: <out>.sweep).
-    --workers <N>             Worker processes in flight (default: 2).
-    --chunk-cells <N>         Cells per chunk — the unit of leasing, retry
-                              and loss (default: 8).
-    --max-attempts <N>        Launch budget per chunk before its cells are
-                              declared unrecoverable (default: 3).
-    --timeout-secs <N>        Per-chunk wall-clock budget; a worker past it
-                              is killed and retried (default: 600).
-    --retry-backoff-ms <N>    Base backoff before relaunching a failed
-                              chunk; attempt n waits base*2^(n-1)
-                              (default: 200).
-    --worker <PATH>           Worker binary (default: this executable).
-    --worker-parallelism <N>  --parallelism passed to each worker
-                              (default: 1; never affects output bytes).
-    --resume                  Reconcile an existing state ledger against the
-                              shards on disk and run only missing cells.
-    --store <DIR>             Persistent result store: a fresh (non-resume)
-                              sweep whose key is already stored writes the
-                              persisted run to --out without spawning
-                              workers, and every completed merge is written
-                              through to DIR.
-    --inject-fault-cells <K>  Test hook: first attempt of every chunk runs
-                              with IMC_FAULT_EXIT_AFTER_CELLS=K, so each
-                              worker dies once and the retry path heals it.
-    --help                    Show this help.
+    --out <FILE>          Destination of the run (required), written exactly
+                          like `imc run --out`.
+    --resume              Keep the complete records an earlier, killed sweep
+                          of this spec left in FILE and run only the cells
+                          after them. A missing FILE starts fresh; a FILE
+                          holding another run is refused (exit code 2) and
+                          left untouched.
+    --store <DIR>         Persistent result store: a stored run of this spec
+                          is written to FILE without computing, and a
+                          completed sweep is written through to DIR.
+    --parallelism <N>     Local worker-count override (never affects the
+                          bytes).
+    --help                Show this help.
 
-The grid is partitioned into cell-range chunks, each executed by `imc run
---cells A..B --out <shard>` in a child process. Progress is checkpointed to
-<DIR>/sweep-state.json — a versioned `imc.sweep-state` document recording
-every chunk's pending/leased/done status, fsynced atomically on each
-transition and keyed by the spec's content hash (stale state for a different
-spec is rejected). Dead workers (signals, timeouts, exit code 4) are retried
-with exponential backoff; a killed worker's partial shard has its complete
-prefix salvaged so only missing cells re-run. Exit codes 1-3 from a worker
-abort the sweep: that spec would fail identically on every retry.
-
-The final merge streams shard files by cell index (never materializing the
-full run) and is byte-identical to the unsharded `imc run` of the same spec.
-After a crash — of workers or of `imc sweep` itself — rerun with `--resume`
-to finish from the ledger.
+The sweep runs in this process and streams the header, then one flushed line
+per record in grid order. So a sweep killed at any moment (kill -9 included)
+leaves the header, a complete prefix of records and at most one torn line.
+`--resume` checks that FILE's header is, byte for byte, the one this spec
+writes, keeps the records, cuts the torn line and appends the rest: crash
+plus resume gives the bytes of an uninterrupted `imc run`. Frontier specs
+are refused, since their records are known only once the search ends.
 ";
 
 const SHARD_HELP: &str = "\
@@ -393,13 +369,13 @@ pub fn run_command(args: &[String]) -> Result<()> {
     let rest = &args[1..];
     match command.as_str() {
         "spec" => cmd_spec(rest),
-        "run" => cmd_run(rest, false),
-        "shard" => cmd_run(rest, true),
+        "run" => cmd_run(rest, RunMode::Run),
+        "shard" => cmd_run(rest, RunMode::Shard),
         "merge" => cmd_merge(rest),
         "report" => cmd_report(rest),
         "serve" => cmd_serve(rest),
         "call" => cmd_call(rest),
-        "sweep" => cmd_sweep(rest),
+        "sweep" => cmd_run(rest, RunMode::Sweep),
         "store" => cmd_store(rest),
         "help" | "--help" | "-h" => {
             let text = match rest.first().map(String::as_str) {
@@ -437,15 +413,7 @@ struct Parsed {
     threads: Option<usize>,
     cache_budget_mb: Option<usize>,
     response_cache_mb: Option<usize>,
-    dir: Option<String>,
-    workers: Option<usize>,
-    chunk_cells: Option<usize>,
-    max_attempts: Option<usize>,
-    timeout_secs: Option<usize>,
     retry_backoff_ms: Option<usize>,
-    worker: Option<String>,
-    worker_parallelism: Option<usize>,
-    inject_fault_cells: Option<usize>,
     retries: Option<usize>,
     store: Option<String>,
     max_mb: Option<usize>,
@@ -468,15 +436,7 @@ fn parse_args(args: &[String], allowed: &[&str]) -> Result<Parsed> {
         threads: None,
         cache_budget_mb: None,
         response_cache_mb: None,
-        dir: None,
-        workers: None,
-        chunk_cells: None,
-        max_attempts: None,
-        timeout_secs: None,
         retry_backoff_ms: None,
-        worker: None,
-        worker_parallelism: None,
-        inject_fault_cells: None,
         retries: None,
         store: None,
         max_mb: None,
@@ -537,20 +497,8 @@ fn parse_args(args: &[String], allowed: &[&str]) -> Result<Parsed> {
                 "response-cache-mb" => {
                     parsed.response_cache_mb = Some(parse_usize(value, "--response-cache-mb")?)
                 }
-                "dir" => parsed.dir = Some(value.clone()),
-                "workers" => parsed.workers = Some(parse_usize(value, "--workers")?),
-                "chunk-cells" => parsed.chunk_cells = Some(parse_usize(value, "--chunk-cells")?),
-                "max-attempts" => parsed.max_attempts = Some(parse_usize(value, "--max-attempts")?),
-                "timeout-secs" => parsed.timeout_secs = Some(parse_usize(value, "--timeout-secs")?),
                 "retry-backoff-ms" => {
                     parsed.retry_backoff_ms = Some(parse_usize(value, "--retry-backoff-ms")?)
-                }
-                "worker" => parsed.worker = Some(value.clone()),
-                "worker-parallelism" => {
-                    parsed.worker_parallelism = Some(parse_usize(value, "--worker-parallelism")?)
-                }
-                "inject-fault-cells" => {
-                    parsed.inject_fault_cells = Some(parse_usize(value, "--inject-fault-cells")?)
                 }
                 "retries" => parsed.retries = Some(parse_usize(value, "--retries")?),
                 "store" => parsed.store = Some(value.clone()),
@@ -711,23 +659,47 @@ fn spec_list(registry: &Registry) -> String {
     out
 }
 
-fn cmd_run(args: &[String], shard: bool) -> Result<()> {
-    // `imc shard` is the sweep orchestrator's worker; it stays store-blind
-    // (the orchestrator registers the *merged* run, not per-shard slices).
-    let allowed: &[&str] = if shard {
-        &["cells", "parallelism", "out"]
-    } else {
-        &["cells", "parallelism", "out", "store"]
+/// The three commands that run a spec. They share one path and differ in
+/// the options they take and in what they refuse.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RunMode {
+    /// `imc run`: the grid or a `--cells` range, to stdout or `--out`.
+    Run,
+    /// `imc shard`: one `--cells` range. It stays store-blind: the store
+    /// holds the merged run, not per-shard slices.
+    Shard,
+    /// `imc sweep`: the grid to `--out`, resumable with `--resume`.
+    Sweep,
+}
+
+fn cmd_run(args: &[String], mode: RunMode) -> Result<()> {
+    let (command, allowed, help): (&str, &[&str], &str) = match mode {
+        RunMode::Run => (
+            "imc run",
+            &["cells", "parallelism", "out", "store"],
+            RUN_HELP,
+        ),
+        RunMode::Shard => ("imc shard", &["cells", "parallelism", "out"], SHARD_HELP),
+        RunMode::Sweep => (
+            "imc sweep",
+            &["out", "resume", "store", "parallelism"],
+            SWEEP_HELP,
+        ),
     };
     let parsed = parse_args(args, allowed)?;
     if parsed.help {
-        return print_stdout(if shard { SHARD_HELP } else { RUN_HELP });
+        return print_stdout(help);
     }
     let [source] = parsed.positional.as_slice() else {
         return Err(usage_error("expected exactly one spec file (or '-')"));
     };
-    if shard && parsed.cells.is_none() {
+    if mode == RunMode::Shard && parsed.cells.is_none() {
         return Err(usage_error("imc shard needs '--cells A..B'"));
+    }
+    if mode == RunMode::Sweep && parsed.out.is_none() {
+        return Err(usage_error(
+            "imc sweep needs '--out FILE' (the file it writes and resumes)",
+        ));
     }
     let spec = ExperimentSpec::from_json(&read_input(source)?)?;
     // A store is consulted under the key of what will actually run: the
@@ -747,28 +719,37 @@ fn cmd_run(args: &[String], shard: bool) -> Result<()> {
         key
     };
     if let Some(bytes) = store.as_ref().and_then(|store| store.get(&key)) {
-        return write_output(parsed.out.as_deref(), &bytes);
+        write_output(parsed.out.as_deref(), &bytes)?;
+        if mode == RunMode::Sweep {
+            print_stdout(&format!(
+                "{command}: store hit — wrote the persisted run ({} bytes) to {}\n",
+                bytes.len(),
+                parsed.out.as_deref().unwrap_or_default()
+            ))?;
+        }
+        return Ok(());
     }
     let write_through = |run_bytes: &str| {
         if let Some(store) = &store {
             // Best-effort: a full disk must not fail a run that computed.
             if let Err(e) = store.put(&key, run_bytes) {
-                eprintln!("imc run: warning: store write-through failed: {e}");
+                eprintln!("{command}: warning: store write-through failed: {e}");
             }
         }
     };
     if spec.frontier {
-        if shard {
-            return Err(usage_error(
-                "a frontier spec cannot be sharded: the search chooses its cells adaptively \
-                 (run it whole with `imc run`)",
-            ));
-        }
-        if parsed.cells.is_some() {
-            return Err(usage_error(
-                "'--cells' cannot restrict a frontier spec: the search chooses its cells \
-                 adaptively",
-            ));
+        let refusal = match mode {
+            RunMode::Shard => Some("a frontier spec cannot be sharded"),
+            RunMode::Sweep => Some("a frontier spec cannot be swept"),
+            RunMode::Run => parsed
+                .cells
+                .is_some()
+                .then_some("'--cells' cannot restrict a frontier spec"),
+        };
+        if let Some(refusal) = refusal {
+            return Err(usage_error(format!(
+                "{refusal}: the search chooses its cells adaptively (run it whole with `imc run`)"
+            )));
         }
         let mut experiment = spec.into_experiment(&Registry::new())?;
         if let Some(workers) = parsed.parallelism {
@@ -788,51 +769,69 @@ fn cmd_run(args: &[String], shard: bool) -> Result<()> {
     if let Some(workers) = parsed.parallelism {
         experiment = experiment.parallelism_override(workers);
     }
-    match parsed.out.as_deref() {
-        None => {
-            let run = experiment.run()?;
-            let run_bytes = run.to_jsonl()?;
-            write_through(&run_bytes);
-            write_output(None, &run_bytes)
-        }
-        Some(path) => {
-            // Stream records to the file as cells finish: a process killed
-            // mid-run leaves a complete-prefix shard `imc sweep` can
-            // salvage. The bytes match the buffered form exactly.
-            let fault = fault_after_cells()?;
-            let declared = experiment.planned_cells();
-            let manifest = experiment.planned_manifest();
-            let mut writer =
-                RunWriter::create(path, declared, manifest.as_ref()).map_err(Error::Sim)?;
-            let mut written = 0usize;
-            let run = experiment.run_streaming(&mut |record| {
-                if Some(written) == fault {
-                    writer.write_torn_record(record)?;
-                    std::process::abort();
-                }
-                writer.write_record(record)?;
-                written += 1;
-                Ok(())
-            })?;
-            writer.finish().map_err(Error::Sim)?;
-            // Register the completed run only after the file landed whole:
-            // the store must never hold a run the crash-salvage path would
-            // still be recovering.
-            write_through(&run.to_jsonl()?);
+    let Some(path) = parsed.out.as_deref() else {
+        let run_bytes = experiment.run()?.to_jsonl()?;
+        write_through(&run_bytes);
+        return write_output(None, &run_bytes);
+    };
+    // Stream records to the file as cells finish: a process killed mid-run
+    // leaves the header and a complete prefix of records, which `--resume`
+    // keeps. The bytes match the buffered form exactly.
+    let fault = fault_after_cells()?;
+    let declared = experiment.planned_cells();
+    let manifest = experiment.planned_manifest();
+    let mut writer = match &manifest {
+        Some(manifest) if parsed.resume => RunWriter::resume(path, declared, manifest),
+        _ => RunWriter::create(path, declared, manifest.as_ref()),
+    }
+    .map_err(Error::Sim)?;
+    // A resumed file runs only the cells after the records it kept, and
+    // nothing once it holds them all. (With nothing kept the run always
+    // starts, so an invalid cell range still reports its error.)
+    let kept = writer.written();
+    if let Some(manifest) = manifest.as_ref().filter(|_| kept > 0) {
+        experiment = experiment.cells(manifest.cells.start + kept..manifest.cells.end);
+    }
+    if kept == 0 || kept < declared {
+        let mut written = 0usize;
+        experiment.run_streaming(&mut |record| {
+            if Some(written) == fault {
+                writer.write_torn_record(record)?;
+                std::process::abort();
+            }
+            writer.write_record(record)?;
+            written += 1;
             Ok(())
+        })?;
+    }
+    writer.finish().map_err(Error::Sim)?;
+    if mode == RunMode::Sweep {
+        print_stdout(&format!(
+            "{command}: {path} holds all {declared} records ({kept} kept from an earlier run)\n"
+        ))?;
+    }
+    // Register the completed run only after the file landed whole: the
+    // store must never hold a run a resume could still be completing.
+    if store.is_some() {
+        match std::fs::read_to_string(path) {
+            Ok(run_bytes) => write_through(&run_bytes),
+            Err(e) => eprintln!("{command}: warning: could not re-read {path} for the store: {e}"),
         }
     }
+    Ok(())
 }
 
-/// Reads the deterministic fault-injection hook ([`sweep::FAULT_ENV`]):
-/// after this many complete records, `imc run --out` writes one torn line
-/// and aborts — dying by signal exactly like `kill -9` mid-write.
+/// The deterministic fault-injection hook: after this many complete
+/// records, a run streaming to `--out` writes one torn line and aborts —
+/// dying by signal exactly like `kill -9` mid-write.
+const FAULT_ENV: &str = "IMC_FAULT_EXIT_AFTER_CELLS";
+
+/// Reads [`FAULT_ENV`].
 fn fault_after_cells() -> Result<Option<usize>> {
-    match std::env::var(sweep::FAULT_ENV) {
+    match std::env::var(FAULT_ENV) {
         Ok(value) => value.parse().map(Some).map_err(|_| {
             usage_error(format!(
-                "{}={value} is not a non-negative cell count",
-                sweep::FAULT_ENV
+                "{FAULT_ENV}={value} is not a non-negative cell count"
             ))
         }),
         Err(_) => Ok(None),
@@ -1005,155 +1004,6 @@ fn store_fallback(store_dir: Option<&str>, spec_json: &str) -> Option<String> {
     store
         .get(&RunKey::of(&spec))
         .map(|bytes| bytes.as_str().to_owned())
-}
-
-fn cmd_sweep(args: &[String]) -> Result<()> {
-    let parsed = parse_args(
-        args,
-        &[
-            "out",
-            "dir",
-            "workers",
-            "chunk-cells",
-            "max-attempts",
-            "timeout-secs",
-            "retry-backoff-ms",
-            "worker",
-            "worker-parallelism",
-            "resume",
-            "inject-fault-cells",
-            "store",
-        ],
-    )?;
-    if parsed.help {
-        return print_stdout(SWEEP_HELP);
-    }
-    let [source] = parsed.positional.as_slice() else {
-        return Err(usage_error("expected exactly one spec file (or '-')"));
-    };
-    let Some(out) = parsed.out.as_deref() else {
-        return Err(usage_error(
-            "imc sweep needs '--out FILE' (the merged run destination)",
-        ));
-    };
-    let spec_json = read_input(source)?;
-    let store = parsed
-        .store
-        .as_deref()
-        .map(RunStore::open)
-        .transpose()
-        .map_err(Error::Sim)?;
-    // A fresh sweep whose spec is already stored needs no workers at all —
-    // the persisted run IS the byte-identical merged result. `--resume`
-    // deliberately skips this: the operator asked to finish an on-disk
-    // ledger, not to re-answer the spec.
-    if let Some(store) = &store {
-        if !parsed.resume {
-            let spec = ExperimentSpec::from_json(&spec_json)?;
-            if let Some(bytes) = store.get(&RunKey::of(&spec)) {
-                std::fs::write(out, bytes.as_bytes())
-                    .map_err(|e| io_error(format!("could not write {out}: {e}")))?;
-                return print_stdout(&format!(
-                    "imc sweep: store hit — wrote the persisted run ({} bytes) to {out}\n",
-                    bytes.len()
-                ));
-            }
-        }
-    }
-    let dir = parsed.dir.clone().unwrap_or_else(|| format!("{out}.sweep"));
-    let mut config = SweepConfig::new().observer(|event| match event {
-        SweepEvent::WorkerSpawned {
-            cells,
-            attempt,
-            pid,
-            ..
-        } => eprintln!(
-            "imc sweep: worker {pid} leased cells {}..{} (attempt {attempt})",
-            cells.start, cells.end
-        ),
-        SweepEvent::ChunkDone { cells, .. } => {
-            eprintln!("imc sweep: cells {}..{} done", cells.start, cells.end)
-        }
-        SweepEvent::WorkerDied {
-            cells,
-            attempt,
-            reason,
-            retrying,
-            ..
-        } => eprintln!(
-            "imc sweep: worker died on cells {}..{} (attempt {attempt}, {}): {reason}",
-            cells.start,
-            cells.end,
-            if *retrying { "retrying" } else { "giving up" }
-        ),
-        SweepEvent::ChunkSalvaged {
-            recovered, missing, ..
-        } => eprintln!(
-            "imc sweep: salvaged cells {}..{} from a dead worker's shard; re-queuing {}..{}",
-            recovered.start, recovered.end, missing.start, missing.end
-        ),
-        SweepEvent::Resumed { done, pending } => eprintln!(
-            "imc sweep: resumed from the state ledger — {done} chunks done, {pending} to run"
-        ),
-        _ => {}
-    });
-    if let Some(workers) = parsed.workers {
-        config = config.workers(workers);
-    }
-    if let Some(cells) = parsed.chunk_cells {
-        config = config.chunk_cells(cells);
-    }
-    if let Some(attempts) = parsed.max_attempts {
-        config = config.max_attempts(attempts as u32);
-    }
-    if let Some(secs) = parsed.timeout_secs {
-        config = config.chunk_timeout(Duration::from_secs(secs as u64));
-    }
-    if let Some(ms) = parsed.retry_backoff_ms {
-        config = config.retry_backoff(Duration::from_millis(ms as u64));
-    }
-    if let Some(worker) = &parsed.worker {
-        config = config.worker_program(worker);
-    }
-    if let Some(threads) = parsed.worker_parallelism {
-        config = config.worker_parallelism(threads);
-    }
-    if let Some(cells) = parsed.inject_fault_cells {
-        config = config.inject_fault_after_cells(cells);
-    }
-    let report = sweep::sweep(
-        &spec_json,
-        Path::new(&dir),
-        Path::new(out),
-        parsed.resume,
-        &config,
-    )
-    .map_err(Error::Sim)?;
-    // Register the merged run write-through, so re-running this spec (or
-    // serving it anywhere that shares the store) is a hit. Best-effort:
-    // the sweep itself already succeeded.
-    if let Some(store) = &store {
-        let spec = ExperimentSpec::from_json(&spec_json)?;
-        match std::fs::read_to_string(out) {
-            Ok(bytes) => {
-                if let Err(e) = store.put(&RunKey::of(&spec), &bytes) {
-                    eprintln!("imc sweep: warning: store write-through failed: {e}");
-                }
-            }
-            Err(e) => eprintln!("imc sweep: warning: could not re-read {out} for the store: {e}"),
-        }
-    }
-    print_stdout(&format!(
-        "imc sweep: {} records over cells {}..{} merged into {out} \
-         ({} chunks, {} workers spawned, {} died, {} shards salvaged)\n",
-        report.records,
-        report.cells.start,
-        report.cells.end,
-        report.chunks,
-        report.workers_spawned,
-        report.worker_failures,
-        report.chunks_salvaged
-    ))
 }
 
 fn cmd_store(args: &[String]) -> Result<()> {

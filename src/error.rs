@@ -32,8 +32,8 @@ pub enum Error {
 
 impl Error {
     /// Classifies the error into the `imc` CLI's exit code, so process
-    /// supervisors (the sweep orchestrator above all) can tell failures
-    /// that will repeat identically from ones worth retrying:
+    /// supervisors can tell failures that will repeat identically from ones
+    /// worth retrying:
     ///
     /// | Code | Meaning | Retry? |
     /// |---|---|---|
@@ -43,7 +43,8 @@ impl Error {
     /// | `1` | any other failure | no |
     ///
     /// (`0` is success, and exit by signal — `kill -9`, fault injection —
-    /// reaches the supervisor as no code at all; both retryable-by-design.)
+    /// reaches the supervisor as no code at all; `imc sweep --resume`
+    /// finishes such a run from the records it already wrote.)
     pub fn exit_code(&self) -> i32 {
         match self {
             Error::Sim(imc_sim::Error::Spec { .. } | imc_sim::Error::Builder { .. }) => 2,

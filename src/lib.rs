@@ -84,6 +84,5 @@ pub use imc_sim::{
     CompressionMethod, CompressionStrategy, ConvContext, EvalSession, EvalSessionBuilder,
     Experiment, ExperimentRun, ExperimentSpec, FrontierOutcome, GcReport, LayerOutcome,
     NetworkEvaluation, Registry, RunKey, RunManifest, RunRecord, RunStore, ServeClient,
-    ServeConfig, ServeMetrics, Server, StoreEntry, StrategySpec, SweepConfig, SweepEvent,
-    SweepReport, VerifyReport, DEFAULT_SEED,
+    ServeConfig, ServeMetrics, Server, StoreEntry, StrategySpec, VerifyReport, DEFAULT_SEED,
 };

@@ -3,7 +3,7 @@
 //! responses from disk without recomputing), multi-process sharing of one
 //! directory, budget-driven LRU eviction order, quarantine-and-recompute on
 //! the normal paths, verify/repair exit codes, the `imc call run --store`
-//! offline fallback, and the sweep orchestrator's write-through.
+//! offline fallback, and `imc sweep`'s write-through.
 
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
@@ -397,10 +397,6 @@ fn sweep_registers_the_merged_run_and_reuses_it() {
         first_out.to_str().unwrap(),
         "--store",
         store_dir.to_str().unwrap(),
-        "--workers",
-        "2",
-        "--chunk-cells",
-        "4",
     ]);
     assert!(
         sweep.status.success(),

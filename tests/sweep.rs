@@ -1,20 +1,21 @@
-//! Fault-tolerance tests for the `imc sweep` orchestrator: a sweep over
-//! worker processes must be byte-identical to an unsharded run, survive
-//! deterministic fault injection and real `kill -9`, and resume from its
-//! state ledger to the same bytes.
+//! Crash-resume tests for `imc sweep`: a sweep writes exactly the bytes of
+//! `imc run`, and a sweep killed mid-write — by deterministic fault
+//! injection or a real `kill -9` — finishes with `--resume` on those same
+//! bytes.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 fn imc_bin() -> &'static str {
     env!("CARGO_BIN_EXE_imc")
 }
 
-/// Runs `imc <args...>` with optional stdin, capturing stdout/stderr.
-fn imc(args: &[&str], stdin: Option<&str>) -> Output {
+/// Runs `imc <args...>` with optional stdin and extra environment,
+/// capturing stdout/stderr.
+fn imc_with_env(args: &[&str], stdin: Option<&str>, env: &[(&str, &str)]) -> Output {
     let mut child = Command::new(imc_bin())
         .args(args)
+        .envs(env.iter().copied())
         .stdin(if stdin.is_some() {
             Stdio::piped()
         } else {
@@ -33,6 +34,10 @@ fn imc(args: &[&str], stdin: Option<&str>) -> Output {
             .expect("stdin writes");
     }
     child.wait_with_output().expect("imc binary exits")
+}
+
+fn imc(args: &[&str], stdin: Option<&str>) -> Output {
+    imc_with_env(args, stdin, &[])
 }
 
 fn stdout_of(args: &[&str], stdin: Option<&str>) -> String {
@@ -68,204 +73,139 @@ impl Drop for Scratch {
     }
 }
 
-/// The 8-cell fig8 grid: small enough to sweep repeatedly, large enough
-/// for multiple chunks.
-fn spec_and_golden(scratch: &Scratch) -> (String, String) {
-    let spec = stdout_of(&["spec", "fig8"], None);
-    let spec_path = scratch.path("fig8.spec.json");
+/// Writes the spec of `sweep` (`imc spec <sweep>`) into the scratch dir and
+/// returns its path with the golden `imc run` bytes of it.
+fn spec_and_golden(scratch: &Scratch, sweep: &str) -> (String, String) {
+    let spec = stdout_of(&["spec", sweep], None);
+    let spec_path = scratch.path(&format!("{sweep}.spec.json"));
     std::fs::write(&spec_path, &spec).expect("spec file writes");
     let golden = stdout_of(&["run", "-"], Some(&spec));
     (spec_path, golden)
 }
 
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).expect("run file exists")
+}
+
 #[test]
 fn a_clean_sweep_is_byte_identical_to_the_unsharded_run() {
     let scratch = Scratch::new("clean");
-    let (spec_path, golden) = spec_and_golden(&scratch);
+    let (spec_path, golden) = spec_and_golden(&scratch, "fig8");
     let out = scratch.path("swept.jsonl");
 
-    let output = imc(
-        &[
-            "sweep",
-            &spec_path,
-            "--out",
-            &out,
-            "--workers",
-            "2",
-            "--chunk-cells",
-            "3",
-        ],
-        None,
-    );
-    assert!(
-        output.status.success(),
-        "clean sweep failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let merged = std::fs::read_to_string(&out).expect("merged output exists");
-    assert_eq!(
-        merged, golden,
-        "sweep over worker processes must be byte-identical to `imc run`"
-    );
-    let summary = String::from_utf8_lossy(&output.stdout);
-    assert!(summary.contains("merged into"), "{summary}");
+    let summary = stdout_of(&["sweep", &spec_path, "--out", &out], None);
+    assert_eq!(read(&out), golden, "a sweep writes the bytes of `imc run`");
+    assert!(summary.contains("holds all 8 records"), "{summary}");
 }
 
 #[test]
 fn an_injected_crash_fails_the_sweep_and_resume_completes_it_byte_identically() {
     let scratch = Scratch::new("resume");
-    let (spec_path, golden) = spec_and_golden(&scratch);
-    let out = scratch.path("swept.jsonl");
-    let dir = scratch.path("work.sweep");
-
-    // Every first-attempt worker aborts after one record; with a budget of
-    // one attempt the orchestrator must give up — but keep its ledger.
-    let output = imc(
-        &[
-            "sweep",
-            &spec_path,
-            "--out",
-            &out,
-            "--dir",
-            &dir,
-            "--workers",
-            "2",
-            "--chunk-cells",
-            "3",
-            "--max-attempts",
-            "1",
-            "--inject-fault-cells",
-            "1",
-        ],
-        None,
-    );
-    assert!(!output.status.success(), "faulted sweep must fail");
-    let stderr = String::from_utf8_lossy(&output.stderr).to_string();
-    assert!(stderr.contains("died"), "stderr names the deaths: {stderr}");
-    assert!(
-        stderr.contains("unrecoverable"),
-        "the terminal error names the lost cells: {stderr}"
-    );
-    let state = std::path::Path::new(&dir).join("sweep-state.json");
-    assert!(state.is_file(), "the state ledger survives the failure");
-    assert!(
-        !std::path::Path::new(&out).exists(),
-        "no merged output is published for a failed sweep"
-    );
-
-    // Resume re-leases only the missing cells (salvaged prefixes stay) and
-    // lands on the exact bytes of the unsharded run.
-    let output = imc(
-        &[
-            "sweep", &spec_path, "--out", &out, "--dir", &dir, "--resume",
-        ],
-        None,
-    );
-    assert!(
-        output.status.success(),
-        "resume failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("resumed"), "{stderr}");
-    let merged = std::fs::read_to_string(&out).expect("merged output exists");
-    assert_eq!(merged, golden, "crash + resume must not change a byte");
-}
-
-#[test]
-fn retries_self_heal_injected_crashes_within_a_single_sweep() {
-    let scratch = Scratch::new("retry");
-    let (spec_path, golden) = spec_and_golden(&scratch);
+    let (spec_path, golden) = spec_and_golden(&scratch, "fig8");
     let out = scratch.path("swept.jsonl");
 
-    // Fault injection only arms first attempts, so the default retry
-    // budget completes the sweep without outside help.
-    let output = imc(
-        &[
-            "sweep",
-            &spec_path,
-            "--out",
-            &out,
-            "--workers",
-            "2",
-            "--chunk-cells",
-            "3",
-            "--retry-backoff-ms",
-            "10",
-            "--inject-fault-cells",
-            "1",
-        ],
+    // The sweep writes one record plus half of the next, then aborts.
+    let output = imc_with_env(
+        &["sweep", &spec_path, "--out", &out],
         None,
+        &[("IMC_FAULT_EXIT_AFTER_CELLS", "1")],
     );
-    assert!(
-        output.status.success(),
-        "retrying sweep failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&output.stderr).to_string();
-    assert!(stderr.contains("died"), "{stderr}");
-    assert!(
-        stderr.contains("salvaged"),
-        "torn shards are salvaged, not re-run wholesale: {stderr}"
-    );
-    let merged = std::fs::read_to_string(&out).expect("merged output exists");
-    assert_eq!(merged, golden, "deaths and retries must not change a byte");
+    assert!(!output.status.success(), "the faulted sweep must die");
+    assert_eq!(output.status.code(), None, "it dies by signal, not exit");
+    let torn = read(&out);
+    assert!(golden.starts_with(&torn), "the killed sweep left a prefix");
+    assert_eq!(torn.matches('\n').count(), 2, "header and one record");
+    assert!(!torn.ends_with('\n'), "plus a torn line");
+
+    // Resume keeps the record, cuts the torn line and appends the rest.
+    let summary = stdout_of(&["sweep", &spec_path, "--out", &out, "--resume"], None);
+    assert!(summary.contains("1 kept"), "{summary}");
+    assert_eq!(read(&out), golden, "crash + resume must not change a byte");
 }
 
-/// A real `kill -9` mid-sweep: the orchestrator sees a signal death (no
-/// exit code), retries, and still produces the canonical bytes.
+/// A real `kill -9` of a sweep mid-write: the file holds a strict prefix of
+/// the run, and `--resume` completes it to the exact bytes.
 #[cfg(unix)]
 #[test]
 fn a_kill_nine_mid_sweep_is_retried_to_byte_identical_output() {
-    use imc::SweepConfig;
+    use std::os::unix::process::ExitStatusExt;
 
     let scratch = Scratch::new("kill9");
-    let (spec_path, golden) = spec_and_golden(&scratch);
-    let spec = std::fs::read_to_string(&spec_path).expect("spec readable");
-    let dir = scratch.0.join("work.sweep");
-    let out = scratch.0.join("swept.jsonl");
+    let (spec_path, golden) = spec_and_golden(&scratch, "fig6");
+    let out = scratch.path("swept.jsonl");
 
-    // Debug-build workers finish a 3-cell chunk in milliseconds, so a kill
-    // racing a bare worker usually loses. A wrapper that sleeps before
-    // exec'ing the real binary keeps every worker alive long enough for
-    // the first kill to land mid-run, deterministically.
-    let wrapper = scratch.0.join("slow-imc.sh");
-    std::fs::write(
-        &wrapper,
-        format!("#!/bin/sh\nsleep 0.5\nexec {} \"$@\"\n", imc_bin()),
-    )
-    .expect("wrapper writes");
-    {
-        use std::os::unix::fs::PermissionsExt;
-        std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755))
-            .expect("wrapper is executable");
+    let mut child = Command::new(imc_bin())
+        .args(["sweep", &spec_path, "--out", &out, "--parallelism", "1"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("imc binary spawns");
+    // Kill as soon as the file holds its header and one complete record.
+    let complete_lines =
+        || std::fs::read_to_string(&out).map_or(0, |run| run.matches('\n').count());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while complete_lines() < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no record appeared in time"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
     }
-
-    // Kill the first worker the moment it is spawned; every later worker
-    // runs unmolested.
-    let killed = std::sync::Arc::new(AtomicBool::new(false));
-    let latch = killed.clone();
-    let config = SweepConfig::new()
-        .worker_program(&wrapper)
-        .workers(2)
-        .chunk_cells(3)
-        .retry_backoff(std::time::Duration::from_millis(10))
-        .observer(move |event| {
-            if let imc::SweepEvent::WorkerSpawned { pid, .. } = event {
-                if !latch.swap(true, Ordering::SeqCst) {
-                    let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
-                }
-            }
-        });
-
-    let report = imc::sim::sweep::sweep(&spec, &dir, &out, false, &config)
-        .expect("sweep survives a kill -9");
-    assert!(killed.load(Ordering::SeqCst), "a worker was killed");
+    child.kill().expect("SIGKILL is delivered");
+    let status = child.wait().expect("the killed sweep is reaped");
+    assert_eq!(status.signal(), Some(9), "died by SIGKILL: {status:?}");
+    let partial = read(&out);
     assert!(
-        report.worker_failures >= 1,
-        "the signal death was observed: {report:?}"
+        partial.len() < golden.len() && golden.starts_with(&partial),
+        "the killed sweep left a strict prefix ({} of {} bytes)",
+        partial.len(),
+        golden.len()
     );
-    assert_eq!(report.records, 8, "fig8 sweeps 8 cells");
-    let merged = std::fs::read_to_string(&out).expect("merged output exists");
-    assert_eq!(merged, golden, "kill -9 and retry must not change a byte");
+
+    stdout_of(&["sweep", &spec_path, "--out", &out, "--resume"], None);
+    assert_eq!(
+        read(&out),
+        golden,
+        "kill -9 + resume must not change a byte"
+    );
+}
+
+#[test]
+fn resuming_a_complete_run_changes_no_byte() {
+    let scratch = Scratch::new("complete");
+    let (spec_path, golden) = spec_and_golden(&scratch, "fig8");
+    let out = scratch.path("swept.jsonl");
+    std::fs::write(&out, &golden).expect("run file writes");
+
+    let summary = stdout_of(&["sweep", &spec_path, "--out", &out, "--resume"], None);
+    assert!(
+        summary.contains("8 kept"),
+        "nothing is recomputed: {summary}"
+    );
+    assert_eq!(read(&out), golden);
+}
+
+#[test]
+fn resuming_another_specs_run_is_refused_and_leaves_it_untouched() {
+    let scratch = Scratch::new("foreign");
+    let (spec_path, golden) = spec_and_golden(&scratch, "fig8");
+    let out = scratch.path("swept.jsonl");
+    let other_spec = stdout_of(&["spec", "fig8", "--seed", "7"], None);
+    let other = stdout_of(&["run", "-"], Some(&other_spec));
+    assert_ne!(other, golden);
+    std::fs::write(&out, &other).expect("run file writes");
+
+    let output = imc(&["sweep", &spec_path, "--out", &out, "--resume"], None);
+    assert_eq!(output.status.code(), Some(2), "a usage error");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let header = |run: &str| run.lines().next().expect("header line").to_owned();
+    assert!(
+        stderr.contains(&header(&other)),
+        "names its header: {stderr}"
+    );
+    assert!(
+        stderr.contains(&header(&golden)),
+        "and this spec's: {stderr}"
+    );
+    assert_eq!(read(&out), other, "the file is left untouched");
 }
