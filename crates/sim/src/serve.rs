@@ -6,8 +6,10 @@
 //! hand-rolled HTTP/1.1 service over [`std::net::TcpListener`] — zero
 //! external dependencies, the same rule as [`crate::json`] — that accepts
 //! POSTed `imc.experiment-spec` documents, executes them on precision-keyed
-//! shared [`EvalSession`]s, and streams the resulting
-//! `imc.experiment-run` JSON lines back as a chunked response. The bytes a
+//! shared [`EvalSession`]s, and sends the resulting
+//! `imc.experiment-run` JSON lines back as a chunked response: one chunk
+//! per JSON line, written through a 64 KiB buffer, so a response costs a
+//! write per 64 KiB rather than three writes per line. The bytes a
 //! client receives are **identical to `imc run` of the same spec** —
 //! manifest header included — so the server is a drop-in, warm-cache
 //! replacement for process-per-sweep execution.
@@ -81,7 +83,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -869,10 +871,14 @@ struct Request {
 /// Reads one HTTP/1.1 request off the stream. `Content-Length` bodies only;
 /// the cap on head and body sizes makes the server safe to expose to
 /// untrusted peers.
+///
+/// `Ok(None)` means the peer closed the connection before sending a byte:
+/// a port probe, a load balancer's TCP check or the shutdown poke, which
+/// is no request and gets no answer.
 fn read_request(
     stream: &mut TcpStream,
     max_body_bytes: usize,
-) -> core::result::Result<Request, RequestError> {
+) -> core::result::Result<Option<Request>, RequestError> {
     let bad = |what: String| RequestError::new(400, what);
     let mut buffer: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
@@ -883,12 +889,12 @@ fn read_request(
         if buffer.len() > MAX_HEAD_BYTES {
             return Err(bad("request head exceeds 16 KiB".to_owned()));
         }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| bad(format!("could not read request: {e}")))?;
-        if n == 0 {
-            return Err(bad("connection closed mid-request".to_owned()));
-        }
+        let n = match stream.read(&mut chunk) {
+            Ok(0) if buffer.is_empty() => return Ok(None),
+            Ok(0) => return Err(bad("connection closed mid-request".to_owned())),
+            Ok(n) => n,
+            Err(e) => return Err(bad(format!("could not read request: {e}"))),
+        };
         buffer.extend_from_slice(&chunk[..n]);
     };
     let head = std::str::from_utf8(&buffer[..head_end])
@@ -946,7 +952,7 @@ fn read_request(
             return Err(bad("request body longer than content-length".to_owned()));
         }
     }
-    Ok(Request { method, path, body })
+    Ok(Some(Request { method, path, body }))
 }
 
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -954,6 +960,12 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
         .windows(needle.len())
         .position(|window| window == needle)
 }
+
+/// Size of the buffer every response is written through. The sockets run
+/// with `TCP_NODELAY`, so each unbuffered write would leave as a segment of
+/// its own; through the buffer a ~750 KB run takes about a dozen writes
+/// instead of three per JSON line.
+const RESPONSE_BUFFER_BYTES: usize = 64 << 10;
 
 /// Writes a complete (content-length) response.
 fn write_response(
@@ -963,39 +975,42 @@ fn write_response(
     extra_headers: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = BufWriter::with_capacity(RESPONSE_BUFFER_BYTES, stream);
+    write!(
+        out,
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n",
         status_reason(status),
         body.len(),
-    );
+    )?;
     for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    out.write_all(b"\r\n")?;
+    out.write_all(body.as_bytes())?;
+    out.flush()
 }
 
-/// Streams a run back as a chunked response, one chunk per JSON line — the
-/// client sees complete records as they are written.
+/// Sends a run back as a chunked response, one chunk per JSON line, written
+/// through one 64 KiB buffer ([`RESPONSE_BUFFER_BYTES`]): the framing is
+/// per record, the system calls are per buffer.
 fn write_chunked_response(
     stream: &mut TcpStream,
     source: RunSource,
     body: &str,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut out = BufWriter::with_capacity(RESPONSE_BUFFER_BYTES, stream);
+    write!(
+        out,
         "HTTP/1.1 200 OK\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\nx-imc-source: {}\r\nconnection: close\r\n\r\n",
         source.tag(),
-    );
-    stream.write_all(head.as_bytes())?;
+    )?;
     for line in body.split_inclusive('\n') {
-        stream.write_all(format!("{:x}\r\n", line.len()).as_bytes())?;
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\r\n")?;
+        write!(out, "{:x}\r\n", line.len())?;
+        out.write_all(line.as_bytes())?;
+        out.write_all(b"\r\n")?;
     }
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+    out.write_all(b"0\r\n\r\n")?;
+    out.flush()
 }
 
 fn write_error(stream: &mut TcpStream, error: &RequestError) -> std::io::Result<()> {
@@ -1024,10 +1039,10 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let request = match read_request(&mut stream, state.max_body_bytes) {
-        Ok(request) => request,
+        Ok(Some(request)) => request,
+        // Closed before the first byte: nothing to count or answer.
+        Ok(None) => return,
         Err(error) => {
-            // A poke connection during shutdown sends no bytes; don't count
-            // or answer it.
             state
                 .metrics
                 .error_responses
@@ -1671,6 +1686,37 @@ mod tests {
         assert!(errors >= 4, "four failing requests were made: {errors}");
         client.shutdown_server().unwrap();
         server.wait();
+    }
+
+    #[test]
+    fn connections_closed_before_the_first_byte_are_not_errors() {
+        // One worker takes connections in accept order, so the bare
+        // connections are handled before the malformed request is answered.
+        let server = Server::bind(ServeConfig::new().workers(1)).expect("server binds");
+        let addr = server.local_addr();
+        for _ in 0..3 {
+            drop(TcpStream::connect(addr).unwrap());
+        }
+        let mut malformed = TcpStream::connect(addr).unwrap();
+        malformed.write_all(b"GARBAGE\r\n\r\n").unwrap();
+        let mut response = String::new();
+        malformed.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        let metrics = server.metrics();
+        assert_eq!(
+            metrics.error_responses, 1,
+            "only the malformed request is an error: {metrics:?}"
+        );
+        assert_eq!(metrics.requests_total, 0, "{metrics:?}");
+
+        // A head torn mid-way did send bytes: it stays a counted 400.
+        let mut torn = TcpStream::connect(addr).unwrap();
+        torn.write_all(b"GET /v1/hea").unwrap();
+        torn.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut response = String::new();
+        torn.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        assert_eq!(server.metrics().error_responses, 2);
     }
 
     #[test]

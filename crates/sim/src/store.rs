@@ -48,6 +48,12 @@
 //! ones whose file is gone), so a lost or corrupt index costs access
 //! recency, never data.
 //!
+//! A hit updates its entry's tick in memory only; the journal is written
+//! (atomically, like an entry) on put, remove, gc and quarantine, and when
+//! the handle drops with hits it has not written yet. So a read never
+//! pays a journal write, and a killed process loses only the recency of
+//! the hits since the last write.
+//!
 //! # Reads degrade, verification classifies
 //!
 //! [`RunStore::get`] never errors: a missing file is a miss, an unreadable
@@ -64,7 +70,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::experiment::ExperimentRun;
@@ -317,6 +323,10 @@ pub struct RunStore {
     dir: PathBuf,
     budget_bytes: Option<u64>,
     index: Mutex<Index>,
+    /// Whether a hit has touched a tick the journal does not hold yet. Set
+    /// and cleared only under the `index` lock, which orders it, so its
+    /// accesses are `Relaxed`.
+    unsaved_hits: AtomicBool,
     evictions: AtomicU64,
 }
 
@@ -389,6 +399,7 @@ impl RunStore {
             dir,
             budget_bytes: None,
             index: Mutex::new(index),
+            unsaved_hits: AtomicBool::new(false),
             evictions: AtomicU64::new(0),
         })
     }
@@ -460,7 +471,9 @@ impl RunStore {
     /// an entry that fails validation (foreign manifest, torn line count)
     /// is quarantined to `<entry>.corrupt` and reported as a miss — the
     /// normal run/serve paths degrade to recomputation instead of failing.
-    /// A hit touches the entry's LRU tick (persisted best-effort).
+    /// A hit touches the entry's LRU tick in memory; the index journal
+    /// picks it up at the next put, remove, gc or quarantine, or when this
+    /// handle drops.
     pub fn get(&self, key: &RunKey) -> Option<Arc<String>> {
         let name = entry_name(key);
         let bytes = std::fs::read_to_string(self.dir.join(&name)).ok()?;
@@ -468,19 +481,17 @@ impl RunStore {
             self.quarantine(&name, &damage);
             return None;
         }
-        {
-            let mut index = self.index.lock().expect("store index poisoned");
-            let tick = index.next_tick();
-            index
-                .entries
-                .entry(name)
-                .and_modify(|entry| entry.last_access = tick)
-                .or_insert(IndexEntry {
-                    bytes: bytes.len() as u64,
-                    last_access: tick,
-                });
-            self.save_index(&index);
-        }
+        let mut index = self.index.lock().expect("store index poisoned");
+        let tick = index.next_tick();
+        index
+            .entries
+            .entry(name)
+            .and_modify(|entry| entry.last_access = tick)
+            .or_insert(IndexEntry {
+                bytes: bytes.len() as u64,
+                last_access: tick,
+            });
+        self.unsaved_hits.store(true, Ordering::Relaxed);
         Some(Arc::new(bytes))
     }
 
@@ -631,9 +642,9 @@ impl RunStore {
         evicted
     }
 
-    /// Best-effort index persistence: the read/write fast paths must not
-    /// fail because the advisory journal could not be written ([`open`]
-    /// rebuilds it from the directory anyway).
+    /// Best-effort index persistence: the write fast path must not fail
+    /// because the advisory journal could not be written ([`open`] rebuilds
+    /// it from the directory anyway).
     ///
     /// [`open`]: RunStore::open
     fn save_index(&self, index: &Index) {
@@ -641,9 +652,23 @@ impl RunStore {
     }
 
     /// Persists the index atomically; the strict form used by the explicit
-    /// maintenance commands.
+    /// maintenance commands. Called with the index lock held.
     fn persist_index(&self, index: &Index) -> Result<()> {
-        write_atomically(&self.dir, INDEX_FILE, &index.to_json())
+        write_atomically(&self.dir, INDEX_FILE, &index.to_json())?;
+        self.unsaved_hits.store(false, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+impl Drop for RunStore {
+    /// Writes the recency of hits the journal does not hold yet,
+    /// best-effort: a clean exit keeps it, a killed process loses only it.
+    fn drop(&mut self) {
+        if *self.unsaved_hits.get_mut() {
+            if let Ok(index) = self.index.lock() {
+                self.save_index(&index);
+            }
+        }
     }
 }
 
@@ -963,6 +988,61 @@ mod tests {
         bounded.put(&keys[1], &run_bytes(&specs[1])).unwrap();
         assert!(bounded.total_bytes() <= sizes[0].max(sizes[1]));
         assert!(bounded.evictions() >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hit_leaves_the_index_file_unchanged() {
+        let dir = scratch("hit_no_write");
+        let spec = tiny_spec(DEFAULT_SEED);
+        let key = RunKey::of(&spec);
+        let bytes = run_bytes(&spec);
+        let store = RunStore::open(&dir).unwrap();
+        store.put(&key, &bytes).unwrap();
+        let journal = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
+        for _ in 0..3 {
+            assert_eq!(store.get(&key).unwrap().as_str(), bytes);
+        }
+        assert_eq!(
+            std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap(),
+            journal,
+            "a read must not rewrite the index"
+        );
+        assert_eq!(store.entries()[0].last_access, 4, "but it is recorded");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hits_are_persisted_when_the_handle_drops() {
+        let dir = scratch("hit_on_drop");
+        let specs = [tiny_spec(1), tiny_spec(2)];
+        let keys: Vec<RunKey> = specs.iter().map(RunKey::of).collect();
+        let mut sizes = Vec::new();
+        let store = RunStore::open(&dir).unwrap();
+        for (spec, key) in specs.iter().zip(&keys) {
+            let bytes = run_bytes(spec);
+            store.put(key, &bytes).unwrap();
+            sizes.push(bytes.len() as u64);
+        }
+        // Ticks 1 and 2 were the puts; the hit on the first key is tick 3.
+        assert!(store.get(&keys[0]).is_some());
+        drop(store);
+
+        let reopened = RunStore::open(&dir).unwrap();
+        let ticks: Vec<(String, u64)> = reopened
+            .entries()
+            .into_iter()
+            .map(|entry| (entry.file, entry.last_access))
+            .collect();
+        let expected = [(entry_name(&keys[0]), 3), (entry_name(&keys[1]), 2)];
+        for pair in &expected {
+            assert!(ticks.contains(pair), "{pair:?} not in {ticks:?}");
+        }
+        // The untouched entry is now the coldest, so GC evicts it.
+        let report = reopened.gc(sizes[0]).unwrap();
+        assert_eq!(report.evicted, vec![entry_name(&keys[1])]);
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1140,7 +1140,7 @@ mod tests {
 
     #[test]
     fn usage_and_io_failures_carry_distinct_exit_codes() {
-        // A missing spec file is a usage error: the sweep orchestrator must
+        // A missing spec file is a usage error: a process supervisor must
         // not retry it.
         let err = run_command(&strings(&[
             "run",

@@ -3,7 +3,8 @@
 //! responses from disk without recomputing), multi-process sharing of one
 //! directory, budget-driven LRU eviction order, quarantine-and-recompute on
 //! the normal paths, verify/repair exit codes, the `imc call run --store`
-//! offline fallback, and `imc sweep`'s write-through.
+//! offline fallback, `imc sweep`'s write-through, the raw chunked framing
+//! of every response source, and a store whose process died between hits.
 
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
@@ -438,5 +439,96 @@ fn sweep_registers_the_merged_run_and_reuses_it() {
     assert!(
         !scratch.path("second.run.jsonl.sweep").exists(),
         "a store-served sweep spawns no shard directory"
+    );
+}
+
+/// The chunked framing of a run, built independently of the server: one
+/// `{len:x}\r\n{line}\r\n` chunk per JSON line, then the last chunk.
+fn chunked(body: &str) -> String {
+    let mut framed = String::new();
+    for line in body.split_inclusive('\n') {
+        framed.push_str(&format!("{:x}\r\n{line}\r\n", line.len()));
+    }
+    framed.push_str("0\r\n\r\n");
+    framed
+}
+
+#[test]
+fn raw_responses_from_every_source_carry_the_same_framed_bytes() {
+    let scratch = Scratch::new("framing");
+    let store_dir = scratch.path("store");
+    // 40 cheap cells: a body larger than the server's 64 KiB write buffer.
+    let mut spec = tiny_spec(DEFAULT_SEED);
+    spec.arrays = [32, 64, 128, 256, 512].map(ArrayAxis::square).to_vec();
+    spec.strategies = (1..=8)
+        .map(|bits| StrategySpec::new("dorefa").with_usize("bits", bits))
+        .collect();
+    let spec_json = spec.to_json();
+    let framed = chunked(&golden_bytes(&spec));
+    assert!(framed.len() > 64 << 10, "{} bytes", framed.len());
+    let head = |source: &str| {
+        format!(
+            "HTTP/1.1 200 OK\r\ncontent-type: application/x-ndjson\r\n\
+             transfer-encoding: chunked\r\nx-imc-source: {source}\r\nconnection: close"
+        )
+    };
+
+    let server = Server::bind(ServeConfig::new().store_dir(&store_dir)).expect("server binds");
+    let addr = server.local_addr().to_string();
+    for source in ["computed", "cache"] {
+        let (got_head, got_body) = raw_post_run(&addr, &spec_json);
+        assert_eq!(got_head, head(source));
+        assert_eq!(got_body, framed, "{source} response");
+    }
+    server.shutdown();
+    server.wait();
+
+    let restarted = Server::bind(ServeConfig::new().store_dir(&store_dir)).expect("server binds");
+    let (got_head, got_body) = raw_post_run(&restarted.local_addr().to_string(), &spec_json);
+    assert_eq!(got_head, head("store"));
+    assert_eq!(got_body, framed, "store response");
+    restarted.shutdown();
+    restarted.wait();
+}
+
+#[test]
+fn a_crash_between_hits_leaves_a_store_that_opens_and_verifies() {
+    let scratch = Scratch::new("crash");
+    let store_dir = scratch.path("store");
+    let specs = [tiny_spec(1), tiny_spec(2)];
+    let keys: Vec<RunKey> = specs.iter().map(RunKey::of).collect();
+    let store = RunStore::open(&store_dir).expect("store opens");
+    for (spec, key) in specs.iter().zip(&keys) {
+        store.put(key, &golden_bytes(spec)).expect("put succeeds");
+    }
+    assert!(store.get(&keys[0]).is_some());
+    assert!(store.get(&keys[1]).is_some());
+    // A process killed here never runs the handle's drop: the journal on
+    // disk still holds the put ticks, not the hits.
+    std::mem::forget(store);
+
+    let reopened = RunStore::open(&store_dir).expect("a crashed store opens");
+    let ticks: Vec<u64> = reopened.entries().iter().map(|e| e.last_access).collect();
+    assert_eq!(ticks.len(), 2, "every entry is present");
+    assert!(
+        ticks.iter().all(|&tick| tick <= 2),
+        "only the hits' recency was lost: {ticks:?}"
+    );
+    for (spec, key) in specs.iter().zip(&keys) {
+        let bytes = reopened.get(key).expect("every entry still serves");
+        assert_eq!(bytes.as_str(), golden_bytes(spec));
+    }
+    drop(reopened);
+
+    let verify = imc(&["store", "verify", store_dir.to_str().unwrap()]);
+    assert!(
+        verify.status.success(),
+        "{}",
+        String::from_utf8_lossy(&verify.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&verify.stdout).contains("2 entries checked, 2 ok"),
+        "{}",
+        String::from_utf8_lossy(&verify.stdout)
     );
 }
