@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod column;
+mod mask;
 pub mod pairs;
 pub mod pattern;
 pub mod types;

@@ -10,6 +10,7 @@
 use imc_array::{ArrayConfig, ParallelWindow, SdkMapping};
 use imc_tensor::{ConvShape, Tensor4};
 
+use crate::mask;
 use crate::types::{Peripheral, PrunedLayer};
 use crate::{Error, Result};
 
@@ -44,15 +45,16 @@ impl PairsPruning {
     /// Chooses the shared pattern for a weight tensor: the `entries` kernel
     /// positions with the largest aggregate magnitude across all channels.
     /// Returns the kept positions as `(row, col)` pairs.
+    ///
+    /// One pass over the weights in storage order: each kernel slice adds
+    /// `|w|` to its position's score, so every score sums its terms in
+    /// `(out, in)` channel order, bit for bit as a nested loop over
+    /// `(o, i, r, c)` does. Ties keep the lower position first.
     pub fn shared_pattern(&self, weight: &Tensor4) -> Vec<(usize, usize)> {
         let mut scores = vec![0.0_f64; weight.kernel_h() * weight.kernel_w()];
-        for o in 0..weight.out_channels() {
-            for i in 0..weight.in_channels() {
-                for r in 0..weight.kernel_h() {
-                    for c in 0..weight.kernel_w() {
-                        scores[r * weight.kernel_w() + c] += weight.get(o, i, r, c).abs();
-                    }
-                }
+        for slice in weight.as_slice().chunks_exact(scores.len()) {
+            for (score, &x) in scores.iter_mut().zip(slice) {
+                *score += x.abs();
             }
         }
         let mut order: Vec<usize> = (0..scores.len()).collect();
@@ -70,34 +72,17 @@ impl PairsPruning {
 
     /// Applies the shared pattern to the weight tensor.
     pub fn prune_tensor(&self, weight: &Tensor4) -> Tensor4 {
-        let pattern = self.shared_pattern(weight);
-        let mut pruned = weight.clone();
-        for o in 0..weight.out_channels() {
-            for i in 0..weight.in_channels() {
-                for r in 0..weight.kernel_h() {
-                    for c in 0..weight.kernel_w() {
-                        if !pattern.contains(&(r, c)) {
-                            pruned.set(o, i, r, c, 0.0);
-                        }
-                    }
-                }
-            }
-        }
-        pruned
+        mask::prune(weight, &slice_mask(weight, &self.shared_pattern(weight)))
     }
 
     /// Relative Frobenius error introduced by the shared-pattern pruning.
+    ///
+    /// One pass over the weights in storage order. For finite weights it
+    /// equals the Frobenius norm of the im2col difference between the
+    /// weights and [`PairsPruning::prune_tensor`], over the weights' norm,
+    /// bit for bit.
     pub fn relative_error(&self, weight: &Tensor4) -> f64 {
-        let pruned = self.prune_tensor(weight);
-        let w = weight.to_im2col_matrix();
-        let p = pruned.to_im2col_matrix();
-        let diff = w.sub(&p).expect("shapes match by construction");
-        let norm = w.frobenius_norm();
-        if norm > 0.0 {
-            diff.frobenius_norm() / norm
-        } else {
-            0.0
-        }
+        pattern_error(weight, &self.shared_pattern(weight))
     }
 
     /// Number of SDK wordlines still active per input channel for a given
@@ -128,7 +113,9 @@ impl PairsPruning {
 
     /// Maps the PAIRS-pruned layer onto arrays: SDK mapping whose all-zero
     /// rows are skipped by wordline deactivation. The parallel window is
-    /// chosen by searching for the lowest post-skipping cycle count.
+    /// chosen by searching for the lowest post-skipping cycle count. The
+    /// shared pattern is computed once and serves both the window search
+    /// and the relative error.
     ///
     /// # Errors
     ///
@@ -140,7 +127,7 @@ impl PairsPruning {
         array: ArrayConfig,
     ) -> Result<PrunedLayer> {
         let pattern = self.shared_pattern(weight);
-        let relative_error = self.relative_error(weight);
+        let relative_error = pattern_error(weight, &pattern);
         let kernel_elems = shape.kernel_h * shape.kernel_w;
         let removed_fraction = 1.0 - pattern.len() as f64 / kernel_elems as f64;
 
@@ -168,6 +155,20 @@ impl PairsPruning {
         }
         Ok(best.expect("candidate_windows always returns at least the kernel-sized window"))
     }
+}
+
+/// A shared pattern as the kept mask of one `K_h × K_w` kernel slice.
+fn slice_mask(weight: &Tensor4, pattern: &[(usize, usize)]) -> Vec<bool> {
+    let mut kept = vec![false; weight.kernel_h() * weight.kernel_w()];
+    for &(r, c) in pattern {
+        kept[r * weight.kernel_w() + c] = true;
+    }
+    kept
+}
+
+/// Relative error of pruning every kernel slice of `weight` to `pattern`.
+fn pattern_error(weight: &Tensor4, pattern: &[(usize, usize)]) -> f64 {
+    mask::relative_error(weight, &slice_mask(weight, pattern))
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use imc_tensor::{ConvShape, Tensor4};
 
 use imc_array::ArrayConfig;
 
+use crate::mask;
 use crate::types::{Peripheral, PrunedLayer};
 use crate::{Error, Result};
 
@@ -48,40 +49,42 @@ impl PatternPruning {
     /// Positions are chosen per (output-channel, input-channel) kernel slice
     /// by magnitude, which is the per-kernel pattern selection of PatDNN.
     pub fn prune_tensor(&self, weight: &Tensor4) -> Tensor4 {
-        let kernel_elems = weight.kernel_h() * weight.kernel_w();
-        let keep = self.entries.min(kernel_elems);
-        let mut pruned = weight.clone();
-        for o in 0..weight.out_channels() {
-            for i in 0..weight.in_channels() {
-                // Rank kernel positions of this slice by magnitude.
-                let mut positions: Vec<(usize, usize, f64)> = Vec::with_capacity(kernel_elems);
-                for r in 0..weight.kernel_h() {
-                    for c in 0..weight.kernel_w() {
-                        positions.push((r, c, weight.get(o, i, r, c).abs()));
-                    }
-                }
-                positions
-                    .sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(core::cmp::Ordering::Equal));
-                for &(r, c, _) in positions.iter().skip(keep) {
-                    pruned.set(o, i, r, c, 0.0);
-                }
-            }
-        }
-        pruned
+        mask::prune(weight, &self.kept_mask(weight))
     }
 
-    /// Relative Frobenius error introduced by pruning `weight`.
+    /// Relative Frobenius error introduced by pruning `weight`, in one pass
+    /// over the weights in storage order. For finite weights it equals the
+    /// Frobenius norm of the im2col difference between the weights and
+    /// [`PatternPruning::prune_tensor`], over the weights' norm, bit for bit.
     pub fn relative_error(&self, weight: &Tensor4) -> f64 {
-        let pruned = self.prune_tensor(weight);
-        let w = weight.to_im2col_matrix();
-        let p = pruned.to_im2col_matrix();
-        let diff = w.sub(&p).expect("shapes match by construction");
-        let norm = w.frobenius_norm();
-        if norm > 0.0 {
-            diff.frobenius_norm() / norm
-        } else {
-            0.0
+        mask::relative_error(weight, &self.kept_mask(weight))
+    }
+
+    /// The kept mask of every kernel slice, in storage order: the slice's
+    /// `entries` largest magnitudes, ties to the lower position (a stable
+    /// descending sort).
+    fn kept_mask(&self, weight: &Tensor4) -> Vec<bool> {
+        let area = weight.kernel_h() * weight.kernel_w();
+        let mut kept = vec![false; weight.len()];
+        let mut order: Vec<usize> = Vec::with_capacity(area);
+        for (slice, mask) in weight
+            .as_slice()
+            .chunks_exact(area)
+            .zip(kept.chunks_exact_mut(area))
+        {
+            order.clear();
+            order.extend(0..area);
+            order.sort_by(|&a, &b| {
+                slice[b]
+                    .abs()
+                    .partial_cmp(&slice[a].abs())
+                    .unwrap_or(core::cmp::Ordering::Equal)
+            });
+            for &position in order.iter().take(self.entries) {
+                mask[position] = true;
+            }
         }
+        kept
     }
 
     /// Shape-level mapping summary of the pruned layer on `array`, assuming
