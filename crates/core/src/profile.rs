@@ -94,12 +94,15 @@ impl GroupErrorProfile {
     /// Absolute Frobenius reconstruction error of truncating every block to
     /// rank `k` (ranks beyond a block's spectrum contribute zero error for
     /// that block).
+    ///
+    /// Both sums fold from `+0.0` (`Iterator::sum` starts from `−0.0`), so a
+    /// full-rank truncation reports `+0.0`, not `−0.0`.
     pub fn error_for_rank(&self, k: usize) -> f64 {
         let k = k.max(1);
         self.block_spectra
             .iter()
-            .map(|spectrum| spectrum.iter().skip(k).map(|s| s * s).sum::<f64>())
-            .sum::<f64>()
+            .map(|spectrum| spectrum.iter().skip(k).fold(0.0, |acc, s| acc + s * s))
+            .fold(0.0, |acc, tail| acc + tail)
             .sqrt()
     }
 
@@ -156,6 +159,17 @@ mod tests {
             let err = profile.error_for_rank(k);
             assert!(err <= prev + 1e-12);
             prev = err;
+        }
+    }
+
+    #[test]
+    fn full_rank_errors_are_positive_zero() {
+        let w = randn_matrix(16, 48, 1.0, 3);
+        let profile = GroupErrorProfile::compute(&w, 4).unwrap();
+        assert_eq!(profile.max_rank(), 12);
+        for k in [12, 13, 100] {
+            assert_eq!(profile.error_for_rank(k).to_bits(), 0, "k={k}");
+            assert_eq!(profile.relative_error_for_rank(k).to_bits(), 0, "k={k}");
         }
     }
 

@@ -7,8 +7,9 @@
 //!   slicing and stacking operations, generic over the [`Scalar`] element
 //!   type (`f64` by default — the bit-exact reference precision — with `f32`
 //!   as the SIMD-friendly fast path certified by `tests/differential.rs`).
-//! * [`svd`] — a one-sided Jacobi singular value decomposition together with
-//!   rank-`k` truncation (Eckart–Young optimal low-rank approximation).
+//! * [`svd`] — a QR-preconditioned one-sided Jacobi singular value
+//!   decomposition together with rank-`k` truncation (Eckart–Young optimal
+//!   low-rank approximation).
 //! * [`qr`] — Householder QR decomposition and least-squares solves.
 //! * [`kron`] — Kronecker products and block-diagonal embeddings, used by the
 //!   SDK-aware low-rank mapping (`D(SDK(W)) = (I_N ⊗ L)·SDK(R)`).

@@ -613,6 +613,22 @@ impl<S: Scalar> Matrix<S> {
                 .all(|(&a, &b)| (a - b).abs() <= tol)
     }
 
+    /// The elements in column-major order: the buffer of the transpose.
+    pub(crate) fn to_col_major(&self) -> Vec<S> {
+        self.transpose().data
+    }
+
+    /// Builds a `rows × cols` matrix from a column-major buffer.
+    pub(crate) fn from_col_major(rows: usize, cols: usize, data: Vec<S>) -> Self {
+        assert_eq!(data.len(), rows * cols, "column-major buffer length");
+        Self {
+            rows: cols,
+            cols: rows,
+            data,
+        }
+        .transpose()
+    }
+
     /// Converts the matrix to another scalar width, rounding every element
     /// through `f64` (exact when widening, round-to-nearest when narrowing).
     ///

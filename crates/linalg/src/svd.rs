@@ -1,12 +1,24 @@
 //! Singular value decomposition and Eckart–Young low-rank truncation.
 //!
-//! The decomposition is computed with the one-sided Jacobi method: columns of
-//! the working matrix are repeatedly orthogonalized with plane rotations
-//! while the same rotations are accumulated into `V`. The method is slower
-//! than Golub–Kahan bidiagonalization but is simple, numerically robust and
-//! more than fast enough for the layer-sized matrices (a few thousand rows by
-//! a few hundred columns) that occur in this workspace.
+//! The decomposition is the QR-preconditioned one-sided Jacobi method of
+//! Drmač and Veselić ("New fast and accurate Jacobi SVD algorithm I/II",
+//! SIAM J. Matrix Anal. Appl. 29(4), 2008). A tall `m × n` matrix is first
+//! factored as `A = Q·R` with Householder reflections (see [`crate::qr`]).
+//! The Jacobi sweeps then orthogonalize the columns of the `n × n` matrix
+//! `X = Rᵀ` with plane rotations, accumulating the same rotations into `V_x`:
+//! `X·V_x = U_x·Σ`. Hence `A = (Q·V_x)·Σ·U_xᵀ`, so the right singular vectors
+//! are the normalized rotated columns of `X`, and the left ones are the
+//! reflectors applied to `[V_x; 0]`. The rotations walk `n`-long columns
+//! instead of `m`-long ones, which is most of the work on the tall blocks the
+//! group decomposition produces. A wide matrix is decomposed as its
+//! transpose, with `U` and `V` swapped.
+//!
+//! The `f64` reductions keep a strict serial order, so the reference is
+//! deterministic bit for bit. Adding the QR step changed the `f64` bits of
+//! `σ`, `U` and `V` once, by rounding only; the plain one-sided Jacobi it
+//! replaced is kept as the test oracle in `tests/differential.rs`.
 
+use crate::qr::Householder;
 use crate::scalar::Scalar;
 use crate::{Error, Matrix, Result};
 
@@ -36,7 +48,13 @@ pub struct Svd<S: Scalar = f64> {
 }
 
 impl<S: Scalar> Svd<S> {
-    /// Computes the SVD of `a` using one-sided Jacobi rotations.
+    /// Computes the SVD of `a` with QR-preconditioned one-sided Jacobi
+    /// rotations (Drmač–Veselić; see the [module docs](self)).
+    ///
+    /// A Householder QR reduces the tall orientation of `a` to its square
+    /// triangular factor `R`, the Jacobi sweeps run on `Rᵀ`, and the
+    /// reflectors turn the accumulated rotations into the left singular
+    /// vectors. The `f64` reductions run in strict serial order.
     ///
     /// # Errors
     ///
@@ -47,115 +65,21 @@ impl<S: Scalar> Svd<S> {
         let (m, n) = a.shape();
         // One-sided Jacobi works on the columns; for wide matrices it is both
         // cheaper and better conditioned to decompose the transpose and swap
-        // the roles of U and V afterwards.
+        // the roles of U and V afterwards. A row-major matrix is its
+        // transpose in column-major order.
         if n > m {
-            let svd_t = Self::compute(&a.transpose())?;
+            let (u, singular_values, v) = tall_svd(n, m, a.as_slice().to_vec())?;
             return Ok(Self {
-                u: svd_t.v,
-                singular_values: svd_t.singular_values,
-                v: svd_t.u,
+                u: v,
+                singular_values,
+                v: u,
             });
         }
-
-        // Column-major working buffers: every Jacobi inner loop walks two
-        // columns of the working matrix, so keeping each column contiguous
-        // (column j at `u[j*m..][..m]`) turns the stride-`cols` accesses of a
-        // row-major layout into unit-stride streams. The arithmetic (and thus
-        // the result, bit for bit) is identical to the row-major formulation.
-        let mut u = vec![S::ZERO; m * n]; // working columns converging to U·Σ
-        for (i, row) in a.as_slice().chunks(n).enumerate() {
-            for (j, &x) in row.iter().enumerate() {
-                u[j * m + i] = x;
-            }
-        }
-        let mut v = vec![S::ZERO; n * n]; // column-major identity
-        for j in 0..n {
-            v[j * n + j] = S::ONE;
-        }
-        let r = n;
-
-        let mut converged = false;
-        let mut sweeps = 0;
-        while sweeps < MAX_SWEEPS && !converged {
-            converged = true;
-            for p in 0..r {
-                for q in (p + 1)..r {
-                    // Gram entries for columns p and q. The reduction is the
-                    // scalar type's own: strict serial order for f64 (the
-                    // bit-exact reference), a reassociated multi-lane pass
-                    // for f32 (see `Scalar::jacobi_gram`).
-                    let (up_col, uq_col) = column_pair(&mut u, m, p, q);
-                    let (alpha, beta, gamma) = S::jacobi_gram(up_col, uq_col);
-                    if gamma.abs() <= S::JACOBI_TOL * (alpha * beta).sqrt() || gamma == S::ZERO {
-                        continue;
-                    }
-                    converged = false;
-                    // Jacobi rotation that zeroes the (p, q) Gram entry.
-                    let zeta = (beta - alpha) / (S::TWO * gamma);
-                    let t = zeta.signum() / (zeta.abs() + (S::ONE + zeta * zeta).sqrt());
-                    let c = S::ONE / (S::ONE + t * t).sqrt();
-                    let s = c * t;
-                    for (up_i, uq_i) in up_col.iter_mut().zip(uq_col.iter_mut()) {
-                        let up = *up_i;
-                        let uq = *uq_i;
-                        *up_i = c * up - s * uq;
-                        *uq_i = s * up + c * uq;
-                    }
-                    let (vp_col, vq_col) = column_pair(&mut v, n, p, q);
-                    for (vp_i, vq_i) in vp_col.iter_mut().zip(vq_col.iter_mut()) {
-                        let vp = *vp_i;
-                        let vq = *vq_i;
-                        *vp_i = c * vp - s * vq;
-                        *vq_i = s * vp + c * vq;
-                    }
-                }
-            }
-            sweeps += 1;
-        }
-        if !converged {
-            return Err(Error::NoConvergence {
-                algorithm: "one-sided Jacobi SVD",
-                iterations: sweeps,
-            });
-        }
-
-        // Column norms of the rotated matrix are the singular values.
-        let mut order: Vec<usize> = (0..r).collect();
-        let mut sigma = vec![S::ZERO; r];
-        for (j, s) in sigma.iter_mut().enumerate() {
-            let mut norm = S::ZERO;
-            for &x in &u[j * m..(j + 1) * m] {
-                norm += x * x;
-            }
-            *s = norm.sqrt();
-        }
-        order.sort_by(|&a_idx, &b_idx| {
-            sigma[b_idx]
-                .partial_cmp(&sigma[a_idx])
-                .unwrap_or(core::cmp::Ordering::Equal)
-        });
-
-        let mut u_sorted = Matrix::<S>::zeros(m, r);
-        let mut v_sorted = Matrix::<S>::zeros(n, r);
-        let mut sigma_sorted = vec![S::ZERO; r];
-        for (new_j, &old_j) in order.iter().enumerate() {
-            let s = sigma[old_j];
-            sigma_sorted[new_j] = s;
-            let u_col = &u[old_j * m..(old_j + 1) * m];
-            for (i, &x) in u_col.iter().enumerate() {
-                let val = if s > S::EPSILON { x / s } else { S::ZERO };
-                u_sorted.set(i, new_j, val);
-            }
-            let v_col = &v[old_j * n..(old_j + 1) * n];
-            for (i, &x) in v_col.iter().enumerate() {
-                v_sorted.set(i, new_j, x);
-            }
-        }
-
+        let (u, singular_values, v) = tall_svd(m, n, a.to_col_major())?;
         Ok(Self {
-            u: u_sorted,
-            singular_values: sigma_sorted,
-            v: v_sorted,
+            u,
+            singular_values,
+            v,
         })
     }
 
@@ -233,14 +157,130 @@ impl<S: Scalar> Svd<S> {
 
     /// The Eckart–Young optimal reconstruction error for a rank-`k`
     /// truncation: `sqrt(Σ_{i>k} σ_i²)`.
+    ///
+    /// The sum folds from `+0.0` (`Iterator::sum` starts from `−0.0`), so a
+    /// full-rank truncation reports `+0.0`, not `−0.0`.
     pub fn truncation_error(&self, k: usize) -> S {
         self.singular_values
             .iter()
             .skip(k)
-            .map(|&s| s * s)
-            .sum::<S>()
+            .fold(S::ZERO, |acc, &s| acc + s * s)
             .sqrt()
     }
+}
+
+/// The SVD `(U, σ, V)` of the `m × n` matrix (`m ≥ n`) held column-major in
+/// `columns`, with `σ` sorted non-increasing.
+fn tall_svd<S: Scalar>(
+    m: usize,
+    n: usize,
+    mut columns: Vec<S>,
+) -> Result<(Matrix<S>, Vec<S>, Matrix<S>)> {
+    // Exactly zero columns are factored last; `column_of[i]` is the column
+    // of A at position i. In place, a zero column would put a zero on R's
+    // diagonal beside a nonzero row, and the sweeps would shrink a column of
+    // X towards zero until it underflows, never converging. Last, it is a
+    // zero column of X, which the sweeps skip as they would skip it in A.
+    let (mut column_of, zero_columns): (Vec<usize>, Vec<usize>) =
+        (0..n).partition(|&j| columns[j * m..(j + 1) * m].iter().any(|&x| x != S::ZERO));
+    if !zero_columns.is_empty() {
+        column_of.extend(zero_columns);
+        columns = column_of
+            .iter()
+            .flat_map(|&j| columns[j * m..(j + 1) * m].iter().copied())
+            .collect();
+    }
+    let qr = Householder::factor(m, n, columns);
+    // Column-major working buffers: every Jacobi inner loop walks two
+    // columns, so each column is contiguous (column j at `x[j*n..][..n]`).
+    // R's rows are the columns of X = Rᵀ.
+    let mut x = qr.r_row_major(); // working columns converging to U_x·Σ
+    let mut v = vec![S::ZERO; n * n]; // column-major identity
+    for j in 0..n {
+        v[j * n + j] = S::ONE;
+    }
+
+    let mut converged = false;
+    let mut sweeps = 0;
+    while sweeps < MAX_SWEEPS && !converged {
+        converged = true;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                // Gram entries for columns p and q. The reduction is the
+                // scalar type's own: strict serial order for f64 (the
+                // bit-exact reference), a reassociated multi-lane pass for
+                // f32 (see `Scalar::jacobi_gram`).
+                let (xp_col, xq_col) = column_pair(&mut x, n, p, q);
+                let (alpha, beta, gamma) = S::jacobi_gram(xp_col, xq_col);
+                if gamma.abs() <= S::JACOBI_TOL * (alpha * beta).sqrt() || gamma == S::ZERO {
+                    continue;
+                }
+                converged = false;
+                // Jacobi rotation that zeroes the (p, q) Gram entry.
+                let zeta = (beta - alpha) / (S::TWO * gamma);
+                let t = zeta.signum() / (zeta.abs() + (S::ONE + zeta * zeta).sqrt());
+                let c = S::ONE / (S::ONE + t * t).sqrt();
+                let s = c * t;
+                for (xp_i, xq_i) in xp_col.iter_mut().zip(xq_col.iter_mut()) {
+                    let xp = *xp_i;
+                    let xq = *xq_i;
+                    *xp_i = c * xp - s * xq;
+                    *xq_i = s * xp + c * xq;
+                }
+                let (vp_col, vq_col) = column_pair(&mut v, n, p, q);
+                for (vp_i, vq_i) in vp_col.iter_mut().zip(vq_col.iter_mut()) {
+                    let vp = *vp_i;
+                    let vq = *vq_i;
+                    *vp_i = c * vp - s * vq;
+                    *vq_i = s * vp + c * vq;
+                }
+            }
+        }
+        sweeps += 1;
+    }
+    if !converged {
+        return Err(Error::NoConvergence {
+            algorithm: "one-sided Jacobi SVD",
+            iterations: sweeps,
+        });
+    }
+
+    // Column norms of the rotated matrix are the singular values.
+    let mut sigma = vec![S::ZERO; n];
+    for (s, column) in sigma.iter_mut().zip(x.chunks_exact(n)) {
+        let mut norm = S::ZERO;
+        for &xi in column {
+            norm += xi * xi;
+        }
+        *s = norm.sqrt();
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a_idx, &b_idx| {
+        sigma[b_idx]
+            .partial_cmp(&sigma[a_idx])
+            .unwrap_or(core::cmp::Ordering::Equal)
+    });
+
+    // V = U_x: the normalized rotated columns of X, with the rows of the
+    // moved zero columns put back. U = Q·[V_x; 0].
+    let mut v_sorted = vec![S::ZERO; n * n];
+    let mut u_sorted = vec![S::ZERO; m * n];
+    let mut sigma_sorted = vec![S::ZERO; n];
+    for (new_j, &old_j) in order.iter().enumerate() {
+        let s = sigma[old_j];
+        sigma_sorted[new_j] = s;
+        let x_col = &x[old_j * n..(old_j + 1) * n];
+        for (&row, &xi) in column_of.iter().zip(x_col) {
+            v_sorted[new_j * n + row] = if s > S::EPSILON { xi / s } else { S::ZERO };
+        }
+        u_sorted[new_j * m..new_j * m + n].copy_from_slice(&v[old_j * n..(old_j + 1) * n]);
+    }
+    qr.apply_q(&mut u_sorted);
+    Ok((
+        Matrix::from_col_major(m, n, u_sorted),
+        sigma_sorted,
+        Matrix::from_col_major(n, n, v_sorted),
+    ))
 }
 
 /// A rank-`k` truncated SVD, the basic low-rank factorization `W ≈ L·R`.
@@ -460,6 +500,16 @@ mod tests {
         let svd = Svd::compute(&a).unwrap();
         assert_eq!(svd.truncate(0).rank(), 1);
         assert_eq!(svd.truncate(100).rank(), 4);
+    }
+
+    #[test]
+    fn full_rank_truncation_error_is_positive_zero() {
+        let a = randn_matrix(16, 48, 1.0, 3);
+        let svd = Svd::compute(&a).unwrap();
+        assert_eq!(svd.singular_values().len(), 16);
+        for k in [16, 17, 100] {
+            assert_eq!(svd.truncation_error(k).to_bits(), 0, "k={k}");
+        }
     }
 
     #[test]

@@ -30,12 +30,16 @@
 //! that the tolerance needs loosening. Keep the budgets tight enough to
 //! catch a broken kernel (a wrong sign, a dropped term) by orders of
 //! magnitude.
+//!
+//! The `f64` SVD has an oracle of its own: [`svd_reference`], the plain
+//! row-major one-sided Jacobi that the QR-preconditioned kernel replaced.
+//! The two agree to rounding, not bit for bit.
 
-use imc_linalg::random::{kaiming_matrix_in, low_rank_matrix_in, randn_matrix_in};
+use imc_linalg::random::{kaiming_matrix_in, low_rank_matrix_in, randn_matrix_in, SeededRng};
 use imc_linalg::solve::{inverse, least_squares, solve_matrix};
 use imc_linalg::{
-    block_diag, frobenius_distance, identity_kron, kron, spectral_norm, uniform_matrix_in, Matrix,
-    Qr, Scalar, Svd, TruncatedSvd,
+    block_diag, frobenius_distance, identity_kron, kron, spectral_norm, uniform_matrix,
+    uniform_matrix_in, Matrix, Qr, Scalar, Svd, TruncatedSvd,
 };
 
 const EPS32: f64 = f32::EPSILON as f64;
@@ -407,6 +411,246 @@ fn low_rank_structure_is_detected_at_both_widths() {
         let rank32 = Svd::<f32>::compute(&a32).unwrap().rank(1e-4_f32);
         assert_eq!(rank64, 3);
         assert_eq!(rank32, 3, "f32 rank detection at seed {seed}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The f64 SVD against the plain one-sided Jacobi oracle.
+// ---------------------------------------------------------------------------
+
+/// The row-major one-sided Jacobi SVD without preconditioning, verbatim from
+/// before the QR step: the `f64` oracle of [`Svd::compute`].
+fn svd_reference(a: &Matrix) -> (Matrix, Vec<f64>, Matrix) {
+    const MAX_SWEEPS: usize = 60;
+    const JACOBI_TOL: f64 = 1e-12;
+    let (m, n) = a.shape();
+    if n > m {
+        let (u, s, v) = svd_reference(&a.transpose());
+        return (v, s, u);
+    }
+    let mut u = a.clone();
+    let mut v = Matrix::identity(n);
+    let r = n;
+    let mut converged = false;
+    let mut sweeps = 0;
+    while sweeps < MAX_SWEEPS && !converged {
+        converged = true;
+        for p in 0..r {
+            for q in (p + 1)..r {
+                let mut alpha = 0.0;
+                let mut beta = 0.0;
+                let mut gamma = 0.0;
+                for i in 0..m {
+                    let up = u.get(i, p);
+                    let uq = u.get(i, q);
+                    alpha += up * up;
+                    beta += uq * uq;
+                    gamma += up * uq;
+                }
+                if gamma.abs() <= JACOBI_TOL * (alpha * beta).sqrt() || gamma == 0.0 {
+                    continue;
+                }
+                converged = false;
+                let zeta = (beta - alpha) / (2.0 * gamma);
+                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = c * t;
+                for i in 0..m {
+                    let up = u.get(i, p);
+                    let uq = u.get(i, q);
+                    u.set(i, p, c * up - s * uq);
+                    u.set(i, q, s * up + c * uq);
+                }
+                for i in 0..n {
+                    let vp = v.get(i, p);
+                    let vq = v.get(i, q);
+                    v.set(i, p, c * vp - s * vq);
+                    v.set(i, q, s * vp + c * vq);
+                }
+            }
+        }
+        sweeps += 1;
+    }
+    assert!(converged, "reference Jacobi did not converge");
+    let mut order: Vec<usize> = (0..r).collect();
+    let mut sigma = vec![0.0; r];
+    for (j, s) in sigma.iter_mut().enumerate() {
+        let mut norm = 0.0;
+        for i in 0..m {
+            norm += u.get(i, j) * u.get(i, j);
+        }
+        *s = norm.sqrt();
+    }
+    order.sort_by(|&a_idx, &b_idx| {
+        sigma[b_idx]
+            .partial_cmp(&sigma[a_idx])
+            .unwrap_or(core::cmp::Ordering::Equal)
+    });
+    let mut u_sorted = Matrix::zeros(m, r);
+    let mut v_sorted = Matrix::zeros(n, r);
+    let mut sigma_sorted = vec![0.0; r];
+    for (new_j, &old_j) in order.iter().enumerate() {
+        let s = sigma[old_j];
+        sigma_sorted[new_j] = s;
+        for i in 0..m {
+            let val = if s > f64::EPSILON {
+                u.get(i, old_j) / s
+            } else {
+                0.0
+            };
+            u_sorted.set(i, new_j, val);
+        }
+        for i in 0..n {
+            v_sorted.set(i, new_j, v.get(i, old_j));
+        }
+    }
+    (u_sorted, sigma_sorted, v_sorted)
+}
+
+/// Singular values agree with the oracle to `1e-13·σ₁`.
+const ORACLE_SIGMA_BUDGET: f64 = 1e-13;
+/// `‖UΣVᵀ − A‖_F ≤ 1e-12·‖A‖_F`.
+const ORACLE_RECONSTRUCTION_BUDGET: f64 = 1e-12;
+/// Singular vectors with `σ > ε·σ₁` are orthonormal to `1e-12`.
+const ORACLE_ORTHONORMALITY_BUDGET: f64 = 1e-12;
+
+/// The (rows, cols) of the blocks the Fig. 6 grid decomposes, in the tall
+/// orientation the Jacobi sweeps run on.
+const FIG6_BLOCKS: &[(usize, usize)] = &[
+    (576, 64),
+    (288, 64),
+    (144, 64),
+    (72, 64),
+    (288, 32),
+    (144, 16),
+    (18, 16),
+];
+
+/// The certified SVD inputs, labelled: random shapes of 1–24 rows and
+/// columns, Fig. 6's block shapes in both orientations, columns graded down
+/// to `1e-8`, and rank-deficient blocks.
+fn oracle_cases() -> Vec<(String, Matrix)> {
+    let mut cases = Vec::new();
+    for seed in 0..24u64 {
+        let mut rng = SeededRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F));
+        let r = rng.gen_range(1..=24);
+        let c = rng.gen_range(1..=24);
+        cases.push((
+            format!("random {r}x{c} seed {seed}"),
+            uniform_matrix(r, c, -10.0, 10.0, seed + 9000),
+        ));
+    }
+    for &(m, n) in FIG6_BLOCKS {
+        let block = randn_matrix_in::<f64>(m, n, (2.0 / m as f64).sqrt(), 2025);
+        cases.push((format!("fig6 {n}x{m}"), block.transpose()));
+        cases.push((format!("fig6 {m}x{n}"), block));
+    }
+    for &(m, n) in &[(40usize, 12usize), (144, 16), (72, 64)] {
+        let mut graded = randn_matrix_in::<f64>(m, n, 1.0, 7);
+        for j in 0..n {
+            let scale = 10f64.powf(-8.0 * j as f64 / (n - 1) as f64);
+            for i in 0..m {
+                graded.set(i, j, graded.get(i, j) * scale);
+            }
+        }
+        cases.push((format!("graded {m}x{n}"), graded));
+    }
+    for &(m, n) in &[(144usize, 16usize), (18, 16), (16, 18)] {
+        let base = randn_matrix_in::<f64>(m, n, 1.0, 31);
+        let mut zero_columns = base.clone();
+        let mut repeated_column = base.clone();
+        for i in 0..m {
+            zero_columns.set(i, 0, 0.0);
+            zero_columns.set(i, 3, 0.0);
+            repeated_column.set(i, 5, base.get(i, 2));
+        }
+        let rank_one = randn_matrix_in::<f64>(m, 1, 1.0, 32)
+            .matmul(&randn_matrix_in::<f64>(1, n, 1.0, 33))
+            .unwrap();
+        cases.push((format!("zero columns {m}x{n}"), zero_columns));
+        cases.push((format!("repeated column {m}x{n}"), repeated_column));
+        cases.push((format!("rank one {m}x{n}"), rank_one));
+    }
+    cases
+}
+
+/// Asserts that the columns of `factor` whose singular value exceeds
+/// `cutoff` are orthonormal to within `budget`.
+fn assert_orthonormal_where<S: Scalar>(
+    factor: &Matrix<S>,
+    sigma: &[S],
+    cutoff: S,
+    budget: f64,
+    what: &str,
+) {
+    let gram = factor.transpose().matmul(factor).unwrap();
+    let kept: Vec<usize> = (0..sigma.len()).filter(|&j| sigma[j] > cutoff).collect();
+    for &i in &kept {
+        for &j in &kept {
+            let want = if i == j { 1.0 } else { 0.0 };
+            let got = gram.get(i, j).to_f64();
+            assert!(
+                (got - want).abs() <= budget,
+                "{what}: (FᵀF)[{i}][{j}] = {got:.3e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn qr_preconditioned_svd_matches_the_plain_jacobi_oracle_to_rounding() {
+    for (label, a) in oracle_cases() {
+        let svd = Svd::compute(&a).unwrap_or_else(|e| panic!("{label}: {e:?}"));
+        let (_, sigma_ref, _) = svd_reference(&a);
+        let sigma = svd.singular_values();
+        let sigma_1 = sigma_ref[0];
+        assert_eq!(sigma.len(), sigma_ref.len(), "{label}");
+        assert_eq!(svd.u().shape(), (a.rows(), sigma.len()), "{label}");
+        assert_eq!(svd.v().shape(), (a.cols(), sigma.len()), "{label}");
+        for (i, (s, s_ref)) in sigma.iter().zip(&sigma_ref).enumerate() {
+            assert!(
+                (s - s_ref).abs() <= ORACLE_SIGMA_BUDGET * sigma_1,
+                "{label} σ_{i}: {s} vs oracle {s_ref}"
+            );
+        }
+        let residual = frobenius_distance(&svd.reconstruct(), &a).unwrap();
+        assert!(
+            residual <= ORACLE_RECONSTRUCTION_BUDGET * a.frobenius_norm(),
+            "{label}: ‖UΣVᵀ − A‖ = {residual:.3e}"
+        );
+        let cutoff = f64::EPSILON * sigma_1;
+        let budget = ORACLE_ORTHONORMALITY_BUDGET;
+        assert_orthonormal_where(svd.u(), sigma, cutoff, budget, &format!("{label} U"));
+        assert_orthonormal_where(svd.v(), sigma, cutoff, budget, &format!("{label} V"));
+    }
+}
+
+#[test]
+fn f32_svd_stays_within_budget_on_the_oracle_cases() {
+    for (label, a64) in oracle_cases() {
+        let a32 = a64.cast::<f32>();
+        let svd64 = Svd::compute(&a64).unwrap();
+        let svd32 = Svd::<f32>::compute(&a32).unwrap_or_else(|e| panic!("{label}: {e:?}"));
+        let sigma_max = svd64.singular_values()[0];
+        for (i, (s64, s32)) in svd64
+            .singular_values()
+            .iter()
+            .zip(svd32.singular_values())
+            .enumerate()
+        {
+            assert!(
+                (s64 - f64::from(*s32)).abs() <= SVD_BUDGET * sigma_max,
+                "{label} σ_{i}: {s64} vs {s32}"
+            );
+        }
+        assert!(
+            rel_fro(&a64, &svd32.reconstruct()) <= SVD_BUDGET,
+            "{label}: reconstruct"
+        );
+        let sigma = svd32.singular_values();
+        let cutoff = f32::EPSILON * sigma[0];
+        assert_orthonormal_where(svd32.u(), sigma, cutoff, SVD_BUDGET, &format!("{label} U"));
+        assert_orthonormal_where(svd32.v(), sigma, cutoff, SVD_BUDGET, &format!("{label} V"));
     }
 }
 

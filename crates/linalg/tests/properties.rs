@@ -214,112 +214,6 @@ fn blocked_transpose_is_bit_identical_to_naive_reference() {
     }
 }
 
-/// Verbatim copy of the pre-optimization row-major one-sided Jacobi SVD,
-/// kept as the bit-exactness oracle for the column-major implementation.
-fn svd_reference(a: &Matrix) -> (Matrix, Vec<f64>, Matrix) {
-    const MAX_SWEEPS: usize = 60;
-    const JACOBI_TOL: f64 = 1e-12;
-    let (m, n) = a.shape();
-    if n > m {
-        let (u, s, v) = svd_reference(&a.transpose());
-        return (v, s, u);
-    }
-    let mut u = a.clone();
-    let mut v = Matrix::identity(n);
-    let r = n;
-    let mut converged = false;
-    let mut sweeps = 0;
-    while sweeps < MAX_SWEEPS && !converged {
-        converged = true;
-        for p in 0..r {
-            for q in (p + 1)..r {
-                let mut alpha = 0.0;
-                let mut beta = 0.0;
-                let mut gamma = 0.0;
-                for i in 0..m {
-                    let up = u.get(i, p);
-                    let uq = u.get(i, q);
-                    alpha += up * up;
-                    beta += uq * uq;
-                    gamma += up * uq;
-                }
-                if gamma.abs() <= JACOBI_TOL * (alpha * beta).sqrt() || gamma == 0.0 {
-                    continue;
-                }
-                converged = false;
-                let zeta = (beta - alpha) / (2.0 * gamma);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                for i in 0..m {
-                    let up = u.get(i, p);
-                    let uq = u.get(i, q);
-                    u.set(i, p, c * up - s * uq);
-                    u.set(i, q, s * up + c * uq);
-                }
-                for i in 0..n {
-                    let vp = v.get(i, p);
-                    let vq = v.get(i, q);
-                    v.set(i, p, c * vp - s * vq);
-                    v.set(i, q, s * vp + c * vq);
-                }
-            }
-        }
-        sweeps += 1;
-    }
-    assert!(converged, "reference Jacobi did not converge");
-    let mut order: Vec<usize> = (0..r).collect();
-    let mut sigma = vec![0.0; r];
-    for (j, s) in sigma.iter_mut().enumerate() {
-        let mut norm = 0.0;
-        for i in 0..m {
-            norm += u.get(i, j) * u.get(i, j);
-        }
-        *s = norm.sqrt();
-    }
-    order.sort_by(|&a_idx, &b_idx| {
-        sigma[b_idx]
-            .partial_cmp(&sigma[a_idx])
-            .unwrap_or(core::cmp::Ordering::Equal)
-    });
-    let mut u_sorted = Matrix::zeros(m, r);
-    let mut v_sorted = Matrix::zeros(n, r);
-    let mut sigma_sorted = vec![0.0; r];
-    for (new_j, &old_j) in order.iter().enumerate() {
-        let s = sigma[old_j];
-        sigma_sorted[new_j] = s;
-        for i in 0..m {
-            let val = if s > f64::EPSILON {
-                u.get(i, old_j) / s
-            } else {
-                0.0
-            };
-            u_sorted.set(i, new_j, val);
-        }
-        for i in 0..n {
-            v_sorted.set(i, new_j, v.get(i, old_j));
-        }
-    }
-    (u_sorted, sigma_sorted, v_sorted)
-}
-
-#[test]
-fn column_major_jacobi_is_bit_identical_to_row_major_reference() {
-    for seed in 0..CASES / 2 {
-        // Tall, square and wide shapes (the wide case exercises the
-        // transpose-and-swap recursion).
-        let mut rng = SeededRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F));
-        let r = rng.gen_range(1..=24);
-        let c = rng.gen_range(1..=24);
-        let m = uniform_matrix(r, c, -10.0, 10.0, seed + 9000);
-        let svd = Svd::compute(&m).unwrap();
-        let (u_ref, sigma_ref, v_ref) = svd_reference(&m);
-        assert_eq!(svd.singular_values(), &sigma_ref[..], "seed {seed}");
-        assert_eq!(svd.u(), &u_ref, "seed {seed}");
-        assert_eq!(svd.v(), &v_ref, "seed {seed}");
-    }
-}
-
 #[test]
 fn block_diag_preserves_frobenius_norm_squared() {
     for seed in 0..CASES {

@@ -1,21 +1,28 @@
-//! Golden certification of the pruning baselines in ResNet-20's Fig. 6 grid.
+//! Golden certification of ResNet-20's Fig. 6 grid on 64×64 arrays.
 //!
-//! The 16 PatDNN and PAIRS cells of `fig6_experiment(&resnet20(), 64,
-//! DEFAULT_SEED)` are pinned as exact `f64` cycles and modelled accuracy,
-//! one row per cell in grid order. PAIRS derives both its shared pattern and
-//! its relative error from the seeded weights, so any change to the pruning
-//! arithmetic that moves a single bit fails here with the cell named.
+//! The 16 low-rank cells and the 16 PatDNN and PAIRS cells of
+//! `fig6_experiment(&resnet20(), 64, DEFAULT_SEED)` are pinned as exact
+//! `f64` cycles and modelled accuracy, one row per cell in grid order. The
+//! low-rank accuracies come from the per-block SVDs, and PAIRS derives both
+//! its shared pattern and its relative error from the seeded weights, so any
+//! change to the decomposition or pruning arithmetic that moves a single bit
+//! fails here with the cell named.
 //!
-//! Regenerate the table after an *intentional* model change with
+//! Regenerate the tables after an *intentional* model change with
 //!
 //! ```text
 //! cargo test --test fig6_pruning_golden regenerate -- --ignored --nocapture
 //! ```
 //!
-//! and paste the printed rows over `GOLDEN`.
+//! and paste the printed rows over `LOWRANK_GOLDEN` and `PRUNING_GOLDEN`.
+
+use std::ops::Range;
 
 use imc::sim::experiments::{fig6_experiment, DEFAULT_SEED};
-use imc::{resnet20, Experiment, ExperimentRun};
+use imc::{resnet20, ExperimentRun};
+
+/// The low-rank series follows the uncompressed baseline in cell 0.
+const LOWRANK_CELLS: Range<usize> = 1..17;
 
 /// The PatDNN and PAIRS series are the last 16 cells of the Fig. 6 grid.
 const PRUNING_CELLS: usize = 16;
@@ -30,10 +37,32 @@ macro_rules! golden_rows {
     };
 }
 
-/// The certified cells at `DEFAULT_SEED`, in grid order. Regenerate with the
-/// ignored `regenerate` test.
+/// The certified low-rank cells at `DEFAULT_SEED`, in grid order.
+/// Regenerate with the ignored `regenerate` test.
 #[rustfmt::skip]
-const GOLDEN: &[GoldenRow] = golden_rows![
+const LOWRANK_GOLDEN: &[GoldenRow] = golden_rows![
+    ("ours (g=1, k=m/2, SDK)") => 13505.0 @ 90.16647974812071,
+    ("ours (g=1, k=m/4, SDK)") => 10961.0 @ 85.88121684490385,
+    ("ours (g=1, k=m/8, SDK)") => 9513.0 @ 81.42593089319033,
+    ("ours (g=1, k=m/16, SDK)") => 8533.0 @ 78.27352333687526,
+    ("ours (g=2, k=m/2, SDK)") => 17409.0 @ 90.67278856154559,
+    ("ours (g=2, k=m/4, SDK)") => 13505.0 @ 86.97411205458259,
+    ("ours (g=2, k=m/8, SDK)") => 10961.0 @ 82.476348042616,
+    ("ours (g=2, k=m/16, SDK)") => 9513.0 @ 78.99186329400949,
+    ("ours (g=4, k=m/2, SDK)") => 29185.0 @ 91.17010052855423,
+    ("ours (g=4, k=m/4, SDK)") => 17409.0 @ 88.35298712495673,
+    ("ours (g=4, k=m/8, SDK)") => 13505.0 @ 83.96294607061195,
+    ("ours (g=4, k=m/16, SDK)") => 10961.0 @ 80.09514906240034,
+    ("ours (g=8, k=m/2, SDK)") => 57345.0 @ 91.51422090447241,
+    ("ours (g=8, k=m/4, SDK)") => 29185.0 @ 89.88430154835643,
+    ("ours (g=8, k=m/8, SDK)") => 17409.0 @ 85.93942284906066,
+    ("ours (g=8, k=m/16, SDK)") => 13505.0 @ 81.67974631617675,
+];
+
+/// The certified pruning cells at `DEFAULT_SEED`, in grid order. Regenerate
+/// with the ignored `regenerate` test.
+#[rustfmt::skip]
+const PRUNING_GOLDEN: &[GoldenRow] = golden_rows![
     ("PatDNN pattern pruning (1 entries)") => 9089.0 @ 78.49021203889816,
     ("PatDNN pattern pruning (2 entries)") => 9409.0 @ 82.08486411751416,
     ("PatDNN pattern pruning (3 entries)") => 11073.0 @ 85.02731680669189,
@@ -52,23 +81,23 @@ const GOLDEN: &[GoldenRow] = golden_rows![
     ("PAIRS (8 entries)") => 14337.0 @ 91.51839126469437,
 ];
 
-/// The pruning cells of the ResNet-20 / 64×64 Fig. 6 grid.
-fn pruning_cells() -> Experiment {
-    let experiment = fig6_experiment(&resnet20(), 64, DEFAULT_SEED);
-    let total = experiment.grid_cells();
-    experiment.cells(total - PRUNING_CELLS..total)
+/// The given cells of the ResNet-20 / 64×64 Fig. 6 grid.
+fn run(cells: Range<usize>) -> ExperimentRun {
+    fig6_experiment(&resnet20(), 64, DEFAULT_SEED)
+        .cells(cells)
+        .run()
+        .expect("fig6 cells run")
 }
 
-fn run() -> ExperimentRun {
-    pruning_cells().run().expect("fig6 pruning cells run")
+fn pruning_cells() -> Range<usize> {
+    let total = fig6_experiment(&resnet20(), 64, DEFAULT_SEED).grid_cells();
+    total - PRUNING_CELLS..total
 }
 
-#[test]
-fn golden_table_certifies_every_resnet20_fig6_pruning_cell() {
-    assert_eq!(GOLDEN.len(), PRUNING_CELLS, "one golden row per cell");
-    let run = run();
-    assert_eq!(run.records().len(), PRUNING_CELLS);
-    for (record, &(method, cycles, accuracy)) in run.records().iter().zip(GOLDEN) {
+/// Asserts every record of `run` against its golden row, bit for bit.
+fn assert_golden(run: &ExperimentRun, golden: &[GoldenRow]) {
+    assert_eq!(run.records().len(), golden.len(), "one golden row per cell");
+    for (record, &(method, cycles, accuracy)) in run.records().iter().zip(golden) {
         assert_eq!(record.eval.method, method, "strategy order");
         assert_eq!(
             record.eval.cycles.to_bits(),
@@ -85,14 +114,32 @@ fn golden_table_certifies_every_resnet20_fig6_pruning_cell() {
     }
 }
 
-/// Regeneration helper (ignored): prints the golden rows in source form.
 #[test]
-#[ignore = "regenerates the golden table; run with --ignored --nocapture"]
+fn golden_table_certifies_every_resnet20_fig6_lowrank_cell() {
+    assert_eq!(LOWRANK_GOLDEN.len(), LOWRANK_CELLS.len());
+    assert_golden(&run(LOWRANK_CELLS), LOWRANK_GOLDEN);
+}
+
+#[test]
+fn golden_table_certifies_every_resnet20_fig6_pruning_cell() {
+    assert_eq!(PRUNING_GOLDEN.len(), PRUNING_CELLS);
+    assert_golden(&run(pruning_cells()), PRUNING_GOLDEN);
+}
+
+/// Regeneration helper (ignored): prints both golden tables in source form.
+#[test]
+#[ignore = "regenerates the golden tables; run with --ignored --nocapture"]
 fn regenerate() {
-    for record in run().records() {
-        println!(
-            "    (\"{}\") => {:?} @ {:?},",
-            record.eval.method, record.eval.cycles, record.eval.accuracy
-        );
+    for (name, cells) in [
+        ("LOWRANK_GOLDEN", LOWRANK_CELLS),
+        ("PRUNING_GOLDEN", pruning_cells()),
+    ] {
+        println!("{name}:");
+        for record in run(cells).records() {
+            println!(
+                "    (\"{}\") => {:?} @ {:?},",
+                record.eval.method, record.eval.cycles, record.eval.accuracy
+            );
+        }
     }
 }
