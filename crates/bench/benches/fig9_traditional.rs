@@ -17,7 +17,9 @@ fn proposed_vs_traditional_cycles(array: &ArrayConfig) -> (u64, u64) {
     let mut proposed = 0u64;
     for (_, shape) in arch.compressible_convs() {
         for rank in RankSpec::paper_divisors() {
-            let (g1, k1) = CompressionConfig::traditional(rank).resolve(shape);
+            let (g1, k1) = CompressionConfig::traditional(rank)
+                .resolve(shape)
+                .expect("valid config");
             traditional += lowrank_im2col_cycles(shape, k1, g1, array)
                 .expect("valid config")
                 .total();
@@ -26,7 +28,7 @@ fn proposed_vs_traditional_cycles(array: &ArrayConfig) -> (u64, u64) {
                 groups: 4,
                 use_sdk: true,
             };
-            let (g4, k4) = proposed_config.resolve(shape);
+            let (g4, k4) = proposed_config.resolve(shape).expect("valid config");
             proposed += search_lowrank_window(shape, k4, g4, array)
                 .expect("search succeeds")
                 .total();

@@ -7,7 +7,10 @@ use std::hint::black_box;
 
 use imc_array::{sdk_matrix, search_best_window, ArrayConfig, ParallelWindow};
 use imc_bench::{stage1_layer, stage3_layer};
-use imc_core::{search_lowrank_window, DecompCache, GroupLowRank, LowRankFactors};
+use imc_core::{
+    search_lowrank_window, CompressionConfig, DecompCache, GroupLowRank, LayerCompression,
+    LowRankFactors, RankSpec,
+};
 use imc_linalg::{uniform_matrix, Svd};
 
 fn bench_kernels(c: &mut Criterion) {
@@ -24,6 +27,10 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("svd_64x576", |b| {
         b.scalar("f64");
         b.iter(|| Svd::compute(black_box(&w3)).expect("SVD converges"))
+    });
+    c.bench_function("svd_values_64x576", |b| {
+        b.scalar("f64");
+        b.iter(|| Svd::singular_values_of(black_box(&w3)).expect("SVD converges"))
     });
     c.bench_function("lowrank_factors_64x576_k8", |b| {
         b.scalar("f64");
@@ -75,7 +82,9 @@ fn bench_dense_kernels(c: &mut Criterion) {
 }
 
 /// The shared decomposition cache against the recompute-per-cell pattern it
-/// replaces: a rank sweep over one layer, one SVD per (layer, group) pair.
+/// replaces: a rank sweep over one layer. The cached row is the sweep's own
+/// path — one values-only SVD per (layer, group) pair, every rank scored
+/// from the block spectra, plus the mapping searches.
 fn bench_decomposition_cache(c: &mut Criterion) {
     let (shape3, weight3) = stage3_layer();
     let w3 = weight3.to_im2col_matrix();
@@ -86,13 +95,15 @@ fn bench_decomposition_cache(c: &mut Criterion) {
             }
         })
     });
+    let array = ArrayConfig::square(64).expect("valid array");
     c.bench_function("rank_sweep_64x576_g4_cached", |b| {
         b.iter(|| {
             let cache = DecompCache::new();
             for k in [2usize, 4, 8, 16] {
+                let config =
+                    CompressionConfig::new(RankSpec::Absolute(k), 4, true).expect("valid config");
                 black_box(
-                    cache
-                        .decomposition(&shape3, 11, 4, k)
+                    LayerCompression::compress_cached(&shape3, &config, array, 11, &cache)
                         .expect("valid config"),
                 );
             }

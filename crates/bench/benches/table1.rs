@@ -16,7 +16,7 @@ fn table1_cycle_sweep(array: &ArrayConfig) -> u64 {
     let mut total = 0u64;
     for (_, shape) in arch.compressible_convs() {
         for config in CompressionConfig::table1_grid(true) {
-            let (groups, k) = config.resolve(shape);
+            let (groups, k) = config.resolve(shape).expect("valid config");
             total += search_lowrank_window(shape, k, groups, array)
                 .expect("search succeeds")
                 .total();

@@ -5,10 +5,16 @@
 //! grid cell re-derives the Kaiming tensor, re-matrixizes it, and re-runs the
 //! one-sided Jacobi SVD of every group block from scratch. All of those
 //! values are pure functions of `(layer geometry, seed)` — plus the group
-//! count and rank for the decompositions, and the array configuration for
-//! the mapping searches — so a [`DecompCache`] computes each of them
-//! once and shares the result across all cells (and across worker threads:
-//! every method takes `&self` and the cache is `Sync`).
+//! count for the block spectra, and the array configuration for the mapping
+//! searches — so a [`DecompCache`] computes each of them once and shares the
+//! result across all cells (and across worker threads: every method takes
+//! `&self` and the cache is `Sync`).
+//!
+//! The sweep needs only the singular values of each group block: by
+//! Eckart–Young they give the truncation error of every rank. So the cache
+//! holds per-block spectra ([`GroupErrorProfile`]s, computed with the
+//! values-only SVD), and builds factor matrices only when
+//! [`DecompCache::decomposition`] asks for them; no sweep path does.
 //!
 //! Because every cached value is deterministic in its key, a sweep produces
 //! bit-identical results with and without the cache, and regardless of which
@@ -52,11 +58,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use imc_array::{search_best_window, ArrayConfig, WindowSearchResult};
-use imc_linalg::{Matrix, Precision, Svd};
+use imc_linalg::{Matrix, Precision};
 use imc_tensor::{ConvShape, Tensor4};
 
 use crate::cycles::{lowrank_im2col_cycles, search_lowrank_window, CompressedCycles};
 use crate::group::GroupLowRank;
+use crate::profile::GroupErrorProfile;
 use crate::Result;
 
 /// Identifies one seeded layer weight: the geometry and the per-layer seed
@@ -72,7 +79,7 @@ type SvdKey = (WeightKey, usize);
 type CyclesKey = (ConvShape, usize, usize, ArrayConfig, bool);
 
 /// A grouped decomposition together with the relative reconstruction error it
-/// induces — everything the evaluation path needs per `(layer, g, k)`.
+/// induces, measured against the dense weights.
 #[derive(Debug, Clone)]
 pub struct CachedDecomposition {
     /// The grouped factorization (actual matrices).
@@ -137,7 +144,8 @@ pub struct CacheStats {
     pub matrices: KindStats,
     /// Per-block SVD spectra.
     pub block_svds: KindStats,
-    /// Derived `(g, k)` decompositions with their reconstruction errors.
+    /// `(g, k)` factor sets with their reconstruction errors, built only on
+    /// request (no sweep path asks).
     pub decompositions: KindStats,
     /// VW-SDK window searches.
     pub window_searches: KindStats,
@@ -292,8 +300,8 @@ impl<K: Eq + Hash, V> Drop for Flight<'_, K, V> {
     }
 }
 
-/// A shared cache of seeded weights, their SVD spectra and derived
-/// decompositions, plus the (array-dependent) mapping searches.
+/// A shared cache of seeded weights, their per-block SVD spectra and the
+/// (array-dependent) mapping searches, plus factor sets on request.
 ///
 /// All methods are get-or-compute: a hit clones an [`Arc`] (or a `Copy`
 /// value), a miss computes outside the lock and inserts. Misses are
@@ -322,7 +330,7 @@ pub struct DecompCache {
     resident_bytes: AtomicUsize,
     weights: Shard<WeightKey, Arc<Tensor4>>,
     matrices: Shard<WeightKey, Arc<Matrix>>,
-    block_svds: Shard<SvdKey, Arc<Vec<Svd>>>,
+    block_svds: Shard<SvdKey, Arc<GroupErrorProfile>>,
     decompositions: Shard<(WeightKey, usize, usize), Arc<CachedDecomposition>>,
     window_searches: Shard<(ConvShape, ArrayConfig), WindowSearchResult>,
     lowrank_cycles: Shard<CyclesKey, CompressedCycles>,
@@ -338,15 +346,16 @@ fn matrix_bytes(m: &Arc<Matrix>) -> usize {
     m.len() * std::mem::size_of::<f64>() + std::mem::size_of::<Matrix>()
 }
 
-/// Estimated heap bytes of a set of per-block SVDs (factors + spectra).
-fn svds_bytes(svds: &Arc<Vec<Svd>>) -> usize {
-    svds.iter()
-        .map(|svd| {
-            (svd.u().len() + svd.v().len() + svd.singular_values().len())
-                * std::mem::size_of::<f64>()
-                + std::mem::size_of::<Svd>()
+/// Estimated heap bytes of a set of per-block spectra.
+fn svds_bytes(profile: &Arc<GroupErrorProfile>) -> usize {
+    profile
+        .block_spectra()
+        .iter()
+        .map(|spectrum| {
+            spectrum.len() * std::mem::size_of::<f64>() + std::mem::size_of::<Vec<f64>>()
         })
-        .sum()
+        .sum::<usize>()
+        + std::mem::size_of::<GroupErrorProfile>()
 }
 
 /// Estimated heap bytes of a cached decomposition (its factor matrices).
@@ -547,21 +556,28 @@ impl DecompCache {
         })
     }
 
-    /// The per-block singular value decompositions of the weight matrix
-    /// partitioned into `groups` column blocks — the expensive kernel every
-    /// rank of the sweep shares.
+    /// The singular values of every block of the weight matrix partitioned
+    /// into `groups` column blocks, as a [`GroupErrorProfile`] — the
+    /// expensive kernel every rank of the sweep shares, and all it needs:
+    /// the profile gives the truncation error of any rank. The blocks run
+    /// the values-only SVD, so no factor matrix is built or held.
     ///
     /// # Errors
     ///
     /// Propagates partitioning and SVD convergence errors.
-    pub fn block_svds(&self, shape: &ConvShape, seed: u64, groups: usize) -> Result<Arc<Vec<Svd>>> {
+    pub fn block_svds(
+        &self,
+        shape: &ConvShape,
+        seed: u64,
+        groups: usize,
+    ) -> Result<Arc<GroupErrorProfile>> {
         let key = ((*shape, seed), groups);
-        if let Some(svds) = self.probe(&self.block_svds, &key) {
-            return Ok(svds);
+        if let Some(profile) = self.probe(&self.block_svds, &key) {
+            return Ok(profile);
         }
         let matrix = self.im2col_matrix(shape, seed)?;
         self.get_or_try(&self.block_svds, key, || {
-            Ok(Arc::new(crate::group::block_svds(
+            Ok(Arc::new(GroupErrorProfile::compute_with_precision(
                 &matrix,
                 groups,
                 self.precision,
@@ -569,8 +585,13 @@ impl DecompCache {
         })
     }
 
-    /// The grouped rank-`k` decomposition (with its relative reconstruction
-    /// error) of the seeded weights, derived from the shared block SVDs.
+    /// The grouped rank-`k` factor matrices of the seeded weights, with the
+    /// relative error of their reconstruction — built on request only; the
+    /// sweeps read the error from [`DecompCache::block_svds`] instead.
+    ///
+    /// The cached spectra come first, as the shared prerequisite and a
+    /// cheap rank check; the factors are then computed from the cached
+    /// matrix with full block SVDs at this cache's precision.
     ///
     /// # Errors
     ///
@@ -586,10 +607,12 @@ impl DecompCache {
         if let Some(cached) = self.probe(&self.decompositions, &key) {
             return Ok(cached);
         }
-        let svds = self.block_svds(shape, seed, groups)?;
+        let profile = self.block_svds(shape, seed, groups)?;
         let matrix = self.im2col_matrix(shape, seed)?;
         self.get_or_try(&self.decompositions, key, || {
-            let decomposition = GroupLowRank::from_block_svds(&svds, k)?;
+            profile.check_rank(k)?;
+            let decomposition =
+                GroupLowRank::compute_with_precision(&matrix, groups, k, self.precision)?;
             let relative_error = decomposition.relative_error(&matrix)?;
             Ok(Arc::new(CachedDecomposition {
                 decomposition,
@@ -669,7 +692,7 @@ impl Residency for Arc<Matrix> {
     }
 }
 
-impl Residency for Arc<Vec<Svd>> {
+impl Residency for Arc<GroupErrorProfile> {
     fn resident_bytes(&self) -> usize {
         svds_bytes(self)
     }

@@ -72,28 +72,27 @@ impl CompressionConfig {
     /// Returns [`Error::InvalidConfig`] when `groups` is zero or the rank
     /// specification is degenerate (zero divisor / zero absolute rank).
     pub fn new(rank: RankSpec, groups: usize, use_sdk: bool) -> Result<Self> {
-        if groups == 0 {
-            return Err(Error::InvalidConfig {
-                what: "group count must be at least 1".to_owned(),
-            });
-        }
-        match rank {
-            RankSpec::Divisor(0) => {
-                return Err(Error::InvalidConfig {
-                    what: "rank divisor must be at least 1".to_owned(),
-                })
-            }
-            RankSpec::Absolute(0) => {
-                return Err(Error::InvalidConfig {
-                    what: "absolute rank must be at least 1".to_owned(),
-                })
-            }
-            _ => {}
-        }
-        Ok(Self {
+        let config = Self {
             rank,
             groups,
             use_sdk,
+        };
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// The one validity rule of a configuration, shared by
+    /// [`CompressionConfig::new`] and [`CompressionConfig::resolve`]: the
+    /// fields are public, so a struct literal can skip `new`.
+    fn validate(&self) -> Result<()> {
+        let what = match (self.groups, self.rank) {
+            (0, _) => "group count must be at least 1",
+            (_, RankSpec::Divisor(0)) => "rank divisor must be at least 1",
+            (_, RankSpec::Absolute(0)) => "absolute rank must be at least 1",
+            _ => return Ok(()),
+        };
+        Err(Error::InvalidConfig {
+            what: what.to_owned(),
         })
     }
 
@@ -126,11 +125,18 @@ impl CompressionConfig {
     /// group count is clamped to the layer's `n = IC·K_h·K_w`, and the rank
     /// to the largest a group block admits, `min(m, n / groups)`. Every path
     /// that compresses a layer resolves it here.
-    pub fn resolve(&self, shape: &ConvShape) -> (usize, usize) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] for a configuration
+    /// [`CompressionConfig::new`] would refuse (a zero group count, divisor
+    /// or absolute rank).
+    pub fn resolve(&self, shape: &ConvShape) -> Result<(usize, usize)> {
+        self.validate()?;
         let n = shape.im2col_rows();
         let groups = self.groups.min(n);
         let max_rank = shape.out_channels.min(n / groups).max(1);
-        (groups, self.rank.resolve(shape.out_channels, max_rank))
+        Ok((groups, self.rank.resolve(shape.out_channels, max_rank)))
     }
 
     /// A short human-readable label, e.g. `"g=4, k=m/8, SDK"`.
@@ -173,12 +179,41 @@ mod tests {
         };
         // m = 64 output channels, n = 16·3·3 = 144.
         let shape = ConvShape::new(16, 64, 3, 3, 1, 1, 8, 8).unwrap();
-        assert_eq!(config(4, RankSpec::Divisor(4)).resolve(&shape), (4, 16));
+        assert_eq!(
+            config(4, RankSpec::Divisor(4)).resolve(&shape).unwrap(),
+            (4, 16)
+        );
         // A group block of 144/8 = 18 columns admits rank 18 at most.
-        assert_eq!(config(8, RankSpec::Divisor(2)).resolve(&shape), (8, 18));
+        assert_eq!(
+            config(8, RankSpec::Divisor(2)).resolve(&shape).unwrap(),
+            (8, 18)
+        );
         // n = 1·1·1 = 1: one group of one column, rank 1.
         let thin = ConvShape::new(1, 64, 1, 1, 1, 0, 8, 8).unwrap();
-        assert_eq!(config(4, RankSpec::Absolute(9)).resolve(&thin), (1, 1));
+        assert_eq!(
+            config(4, RankSpec::Absolute(9)).resolve(&thin).unwrap(),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn resolution_refuses_what_new_refuses() {
+        let shape = ConvShape::new(16, 64, 3, 3, 1, 1, 8, 8).unwrap();
+        for (rank, groups) in [
+            (RankSpec::Divisor(4), 0),
+            (RankSpec::Divisor(0), 4),
+            (RankSpec::Absolute(0), 4),
+        ] {
+            let literal = CompressionConfig {
+                rank,
+                groups,
+                use_sdk: true,
+            };
+            let refused = CompressionConfig::new(rank, groups, true).unwrap_err();
+            assert!(matches!(refused, Error::InvalidConfig { .. }));
+            let resolved = literal.resolve(&shape).unwrap_err();
+            assert_eq!(resolved.to_string(), refused.to_string(), "{literal:?}");
+        }
     }
 
     #[test]

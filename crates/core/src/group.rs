@@ -93,9 +93,9 @@ impl GroupLowRank {
     ///
     /// Because [`GroupLowRank::compute`] itself factorizes each block through
     /// its full SVD before truncating, constructing from shared SVDs yields a
-    /// decomposition that is bit-identical to the direct computation — this
-    /// is what lets a rank sweep (or a whole experiment grid) reuse one SVD
-    /// per `(layer, group count)` pair instead of one per grid cell.
+    /// decomposition that is bit-identical to the direct computation, so
+    /// one set of block SVDs serves every rank. (A rank sweep that wants only
+    /// the errors needs no factors: see [`crate::GroupErrorProfile`].)
     ///
     /// # Errors
     ///
@@ -277,11 +277,10 @@ pub(crate) fn validate_group_count(groups: usize, cols: usize) -> Result<()> {
 }
 
 /// Per-block SVDs of `weight` split into `groups` column blocks, at the
-/// requested precision — the decomposition hot path shared by
-/// [`GroupLowRank::compute_with_precision`], the rank-sweep error profiles
-/// and the sweep cache. `Precision::F64` decomposes in place (the bit-exact
-/// reference); `Precision::F32` decomposes rounded single-precision blocks
-/// and widens the factors back to `f64`.
+/// requested precision, for [`GroupLowRank::compute_with_precision`].
+/// `Precision::F64` decomposes in place (the bit-exact reference);
+/// `Precision::F32` decomposes rounded single-precision blocks and widens
+/// the factors back to `f64`.
 pub(crate) fn block_svds(weight: &Matrix, groups: usize, precision: Precision) -> Result<Vec<Svd>> {
     let blocks = weight.split_cols(groups)?;
     let mut svds = Vec::with_capacity(blocks.len());
@@ -292,6 +291,30 @@ pub(crate) fn block_svds(weight: &Matrix, groups: usize, precision: Precision) -
         });
     }
     Ok(svds)
+}
+
+/// The singular values of each block of `weight` split into `groups` column
+/// blocks, at the requested precision — the hot path of every rank sweep,
+/// which needs no factors. Each spectrum is bit for bit the one
+/// [`block_svds`] computes: `Precision::F32` runs the values-only kernel on
+/// rounded single-precision blocks and widens `σ` back to `f64`.
+pub(crate) fn block_spectra(
+    weight: &Matrix,
+    groups: usize,
+    precision: Precision,
+) -> Result<Vec<Vec<f64>>> {
+    let blocks = weight.split_cols(groups)?;
+    let mut spectra = Vec::with_capacity(blocks.len());
+    for block in &blocks {
+        spectra.push(match precision {
+            Precision::F64 => Svd::singular_values_of(block)?,
+            Precision::F32 => Svd::<f32>::singular_values_of(&block.cast())?
+                .into_iter()
+                .map(f64::from)
+                .collect(),
+        });
+    }
+    Ok(spectra)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Per-layer compression summary: factors, error and cycle accounting.
+//! Per-layer compression summary: resolved rank, error and cycle accounting.
 
 use imc_array::{im2col_mapping, search_best_window, ArrayConfig};
 use imc_linalg::Precision;
@@ -7,22 +7,26 @@ use imc_tensor::{ConvShape, Tensor4};
 use crate::cache::DecompCache;
 use crate::config::CompressionConfig;
 use crate::cycles::{lowrank_im2col_cycles, search_lowrank_window, CompressedCycles};
-use crate::group::GroupLowRank;
+use crate::profile::GroupErrorProfile;
 use crate::Result;
 
 /// The result of compressing one convolutional layer with a given
 /// [`CompressionConfig`] on a given array size.
 ///
-/// This is the unit of work of the experiment harness: it carries the actual
-/// factor matrices (so accuracy modelling can use the true reconstruction
-/// error), the resolved rank, and the cycle accounting of both the compressed
-/// layer and the uncompressed baselines.
+/// This is the unit of work of the experiment harness: it carries the
+/// resolved group count and rank, the parameter count and relative error of
+/// the grouped decomposition, and the cycle accounting of both the
+/// compressed layer and the uncompressed baselines. The error is the
+/// Eckart–Young truncation error of the per-block singular values
+/// ([`GroupErrorProfile`]), so no factor matrix is built;
+/// [`crate::GroupLowRank`] builds the factors when they are wanted.
 #[derive(Debug, Clone)]
 pub struct LayerCompression {
     shape: ConvShape,
     config: CompressionConfig,
     array: ArrayConfig,
-    decomposition: GroupLowRank,
+    groups: usize,
+    rank: usize,
     relative_error: f64,
     cycles: CompressedCycles,
     baseline_im2col_cycles: u64,
@@ -39,8 +43,9 @@ impl LayerCompression {
     ///
     /// # Errors
     ///
-    /// Propagates decomposition and mapping errors (e.g. a rank that exceeds
-    /// what the layer's group blocks allow).
+    /// Propagates configuration, decomposition and mapping errors (e.g. a
+    /// zero group count, or a rank that exceeds what the layer's group
+    /// blocks allow).
     pub fn compress(
         shape: &ConvShape,
         weight: &Tensor4,
@@ -54,8 +59,8 @@ impl LayerCompression {
     /// the dominant cost of the sweep hot path — at the requested
     /// [`Precision`]. `Precision::F64` is [`LayerCompression::compress`] bit
     /// for bit; `Precision::F32` decomposes rounded single-precision blocks
-    /// and widens the factors back to `f64`, so cycles, parameters and the
-    /// reported reconstruction error all stay double-precision quantities.
+    /// and widens the singular values back to `f64`, so cycles, parameters
+    /// and the reported error all stay double-precision quantities.
     ///
     /// # Errors
     ///
@@ -67,34 +72,28 @@ impl LayerCompression {
         array: ArrayConfig,
         precision: Precision,
     ) -> Result<Self> {
+        let (groups, k) = config.resolve(shape)?;
         let w = weight.to_im2col_matrix();
-        let (groups, k) = config.resolve(shape);
-
-        let decomposition = GroupLowRank::compute_with_precision(&w, groups, k, precision)?;
-        let relative_error = decomposition.relative_error(&w)?;
-
+        let profile = GroupErrorProfile::compute_with_precision(&w, groups, precision)?;
         let cycles = if config.use_sdk {
             search_lowrank_window(shape, k, groups, &array)?
         } else {
             lowrank_im2col_cycles(shape, k, groups, &array)?
         };
-        let baseline_im2col_cycles = im2col_mapping(shape, array).cycles();
         let baseline_sdk_cycles = search_best_window(shape, array)?.cycles;
-
-        Ok(Self {
-            shape: *shape,
-            config: *config,
+        Self::assemble(
+            shape,
+            config,
             array,
-            decomposition,
-            relative_error,
+            &profile,
+            k,
             cycles,
-            baseline_im2col_cycles,
             baseline_sdk_cycles,
-        })
+        )
     }
 
     /// Like [`LayerCompression::compress`], but sources the seeded weights,
-    /// the decomposition and the mapping searches from a shared
+    /// the block spectra and the mapping searches from a shared
     /// [`DecompCache`], so a sweep computes each of them once per distinct
     /// key instead of once per grid cell.
     ///
@@ -104,8 +103,8 @@ impl LayerCompression {
     ///
     /// # Errors
     ///
-    /// Propagates decomposition and mapping errors, exactly as
-    /// [`LayerCompression::compress`] does.
+    /// Propagates configuration, decomposition and mapping errors, exactly
+    /// as [`LayerCompression::compress`] does.
     pub fn compress_cached(
         shape: &ConvShape,
         config: &CompressionConfig,
@@ -113,21 +112,42 @@ impl LayerCompression {
         seed: u64,
         cache: &DecompCache,
     ) -> Result<Self> {
-        let (groups, k) = config.resolve(shape);
-
-        let cached = cache.decomposition(shape, seed, groups, k)?;
+        let (groups, k) = config.resolve(shape)?;
+        let profile = cache.block_svds(shape, seed, groups)?;
         let cycles = cache.lowrank_cycles(shape, k, groups, array, config.use_sdk)?;
-        let baseline_im2col_cycles = im2col_mapping(shape, array).cycles();
         let baseline_sdk_cycles = cache.best_window(shape, array)?.cycles;
+        Self::assemble(
+            shape,
+            config,
+            array,
+            &profile,
+            k,
+            cycles,
+            baseline_sdk_cycles,
+        )
+    }
 
+    /// The one assembly of both paths: checks the rank against the blocks
+    /// and reads the rank-`k` error off their spectra.
+    fn assemble(
+        shape: &ConvShape,
+        config: &CompressionConfig,
+        array: ArrayConfig,
+        profile: &GroupErrorProfile,
+        k: usize,
+        cycles: CompressedCycles,
+        baseline_sdk_cycles: u64,
+    ) -> Result<Self> {
+        profile.check_rank(k)?;
         Ok(Self {
             shape: *shape,
             config: *config,
             array,
-            decomposition: cached.decomposition.clone(),
-            relative_error: cached.relative_error,
+            groups: profile.groups(),
+            rank: k,
+            relative_error: profile.relative_error_for_rank(k),
             cycles,
-            baseline_im2col_cycles,
+            baseline_im2col_cycles: im2col_mapping(shape, array).cycles(),
             baseline_sdk_cycles,
         })
     }
@@ -147,22 +167,18 @@ impl LayerCompression {
         &self.array
     }
 
-    /// The grouped factorization (actual matrices).
-    pub fn decomposition(&self) -> &GroupLowRank {
-        &self.decomposition
-    }
-
     /// The resolved rank `k`.
     pub fn rank(&self) -> usize {
-        self.decomposition.rank()
+        self.rank
     }
 
     /// The resolved group count `g`.
     pub fn groups(&self) -> usize {
-        self.decomposition.group_count()
+        self.groups
     }
 
-    /// Relative Frobenius reconstruction error of this layer's weights.
+    /// Relative Frobenius error of the rank-`k` grouped decomposition of
+    /// this layer's weights (the Eckart–Young tail of the block spectra).
     pub fn relative_error(&self) -> f64 {
         self.relative_error
     }
@@ -193,9 +209,10 @@ impl LayerCompression {
         self.baseline_im2col_cycles as f64 / self.cycles().max(1) as f64
     }
 
-    /// Number of parameters stored by the compressed layer.
+    /// Number of parameters stored by the compressed layer:
+    /// `Σ_i k·(m + n_i) = k·(g·m + n)` over the group blocks.
     pub fn parameter_count(&self) -> usize {
-        self.decomposition.parameter_count()
+        self.rank * (self.groups * self.shape.out_channels + self.shape.im2col_rows())
     }
 
     /// Number of parameters of the dense (uncompressed) layer.

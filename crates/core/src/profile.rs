@@ -1,14 +1,16 @@
 //! Rank-sweep error profiles.
 //!
-//! Sweeping Table I requires the reconstruction error of every (group, rank)
-//! combination for every layer. Re-running the decomposition for each rank
-//! would repeat the same SVD work `|ranks|` times, so this module computes
-//! the per-block singular spectra once per (layer, group-count) pair and then
-//! answers any rank query in O(rank) time via the Eckart–Young tail formula.
+//! By Eckart–Young, truncating each group block `W_i` to rank `k` leaves
+//! `‖W − D_g(W)‖²_F = Σ_i Σ_{j>k} σ_j(W_i)²` (the paper's Section IV and
+//! Theorem 1). So the error of every rank needs only the per-block singular
+//! values: this module computes them once per (layer, group-count) pair,
+//! with the values-only SVD, and answers any rank query in O(rank) time. It
+//! is the one error definition of the sweeps: the decomposition cache holds
+//! these profiles, and both the strategy engine and Table I read them.
 
-use imc_linalg::{Matrix, Precision, Svd};
+use imc_linalg::{Matrix, Precision};
 
-use crate::Result;
+use crate::{Error, Result};
 
 /// Per-block singular spectra of a group-partitioned weight matrix, from
 /// which the reconstruction error of any rank can be derived cheaply.
@@ -47,10 +49,7 @@ impl GroupErrorProfile {
         precision: Precision,
     ) -> Result<Self> {
         crate::group::validate_group_count(groups, weight.cols())?;
-        let block_spectra = crate::group::block_svds(weight, groups, precision)?
-            .iter()
-            .map(|svd| svd.singular_values().to_vec())
-            .collect();
+        let block_spectra = crate::group::block_spectra(weight, groups, precision)?;
         let total_sq_norm = weight.frobenius_norm().powi(2);
         Ok(Self {
             block_spectra,
@@ -59,27 +58,15 @@ impl GroupErrorProfile {
         })
     }
 
-    /// Builds the profile from already-computed per-block SVDs of `weight`
-    /// partitioned into `svds.len()` column blocks — the sharing entry point
-    /// for callers that hold the spectra in a decomposition cache.
-    ///
-    /// For the same `(weight, group count, precision)` this is bit-identical
-    /// to [`GroupErrorProfile::compute_with_precision`]: both read the same
-    /// spectra and the same Frobenius norm.
-    pub fn from_block_svds(svds: &[Svd], weight: &Matrix) -> Self {
-        Self {
-            block_spectra: svds
-                .iter()
-                .map(|svd| svd.singular_values().to_vec())
-                .collect(),
-            total_sq_norm: weight.frobenius_norm().powi(2),
-            groups: svds.len(),
-        }
-    }
-
     /// Number of groups the profile was computed for.
     pub fn groups(&self) -> usize {
         self.groups
+    }
+
+    /// The singular values of each column block, in block order, each
+    /// sorted non-increasing.
+    pub(crate) fn block_spectra(&self) -> &[Vec<f64>] {
+        &self.block_spectra
     }
 
     /// Largest rank any block supports.
@@ -89,6 +76,25 @@ impl GroupErrorProfile {
             .map(|s| s.len())
             .max()
             .unwrap_or(0)
+    }
+
+    /// Checks that every block admits rank `k`, as a grouped decomposition
+    /// at rank `k` requires.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] when `k` is zero or exceeds the
+    /// rank of the narrowest block.
+    pub(crate) fn check_rank(&self, k: usize) -> Result<()> {
+        let max_rank = self.block_spectra.iter().map(Vec::len).min().unwrap_or(0);
+        if k == 0 || k > max_rank {
+            return Err(Error::InvalidConfig {
+                what: format!(
+                    "rank {k} is out of range for group blocks of maximum rank {max_rank}"
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Absolute Frobenius reconstruction error of truncating every block to
@@ -170,6 +176,34 @@ mod tests {
         for k in [12, 13, 100] {
             assert_eq!(profile.error_for_rank(k).to_bits(), 0, "k={k}");
             assert_eq!(profile.relative_error_for_rank(k).to_bits(), 0, "k={k}");
+        }
+    }
+
+    #[test]
+    fn rank_checks_follow_the_narrowest_block() {
+        // 50 columns in 4 groups: blocks of 13, 13, 12 and 12 columns.
+        let w = randn_matrix(16, 50, 1.0, 4);
+        let profile = GroupErrorProfile::compute(&w, 4).unwrap();
+        assert_eq!(profile.max_rank(), 13);
+        assert!(profile.check_rank(1).is_ok());
+        assert!(profile.check_rank(12).is_ok());
+        for k in [0, 13] {
+            assert!(
+                matches!(profile.check_rank(k), Err(Error::InvalidConfig { .. })),
+                "k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn spectra_are_the_full_svds_singular_values() {
+        let w = randn_matrix(12, 40, 1.0, 8);
+        let profile = GroupErrorProfile::compute(&w, 3).unwrap();
+        let blocks = w.split_cols(3).unwrap();
+        assert_eq!(profile.block_spectra().len(), 3);
+        for (spectrum, block) in profile.block_spectra().iter().zip(&blocks) {
+            let svd = imc_linalg::Svd::compute(block).unwrap();
+            assert_eq!(spectrum.as_slice(), svd.singular_values());
         }
     }
 

@@ -8,6 +8,7 @@
 use std::sync::{Arc, Barrier};
 
 use imc_core::{DecompCache, GroupLowRank, Precision};
+use imc_linalg::Svd;
 use imc_tensor::ConvShape;
 
 fn shape() -> ConvShape {
@@ -142,15 +143,21 @@ fn racing_lookups_of_an_invalid_key_all_fail_and_none_hangs() {
     assert_eq!(stats.decompositions.misses, threads as u64);
 }
 
-/// Deriving ranks from one shared spectrum must be monotone: a higher rank
-/// never reconstructs worse. This is the Eckart–Young property the rank
-/// sweeps lean on when they reuse one SVD per (layer, group) pair.
+/// Deriving ranks from one shared set of block SVDs must be monotone: a
+/// higher rank never reconstructs worse. This is the Eckart–Young property
+/// the rank sweeps lean on when they reuse one spectrum per (layer, group)
+/// pair.
 #[test]
 fn from_block_svds_is_rank_monotone() {
     let cache = DecompCache::new();
     let shape = shape();
-    let svds = cache.block_svds(&shape, 3, 4).unwrap();
     let matrix = cache.im2col_matrix(&shape, 3).unwrap();
+    let svds: Vec<Svd> = matrix
+        .split_cols(4)
+        .unwrap()
+        .iter()
+        .map(|block| Svd::compute(block).unwrap())
+        .collect();
     let max_rank = svds
         .iter()
         .map(|svd| svd.singular_values().len())

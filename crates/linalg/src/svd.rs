@@ -13,6 +13,11 @@
 //! group decomposition produces. A wide matrix is decomposed as its
 //! transpose, with `U` and `V` swapped.
 //!
+//! [`Svd::singular_values_of`] runs the same QR and sweeps without
+//! accumulating `V_x` or applying the reflectors: the rotations of `X` never
+//! read `V_x`, so its `σ` is bit for bit that of [`Svd::compute`]. Truncation
+//! errors need nothing more (Eckart–Young).
+//!
 //! The `f64` reductions keep a strict serial order, so the reference is
 //! deterministic bit for bit. Adding the QR step changed the `f64` bits of
 //! `σ`, `U` and `V` once, by rounding only; the plain one-sided Jacobi it
@@ -81,6 +86,27 @@ impl<S: Scalar> Svd<S> {
             singular_values,
             v,
         })
+    }
+
+    /// The singular values of `a` alone, sorted non-increasing: bit for bit
+    /// `Svd::compute(a)?.singular_values()`.
+    ///
+    /// It runs the same QR and Jacobi sweeps as [`Svd::compute`] but
+    /// accumulates no rotations and builds neither `U` nor `V`, which is
+    /// what a truncation error needs (Eckart–Young:
+    /// `‖A − A_k‖²_F = Σ_{i>k} σ_i²`).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Svd::compute`].
+    pub fn singular_values_of(a: &Matrix<S>) -> Result<Vec<S>> {
+        let (m, n) = a.shape();
+        let jacobi = if n > m {
+            Jacobi::sweep(n, m, a.as_slice().to_vec(), false)?
+        } else {
+            Jacobi::sweep(m, n, a.to_col_major(), false)?
+        };
+        Ok(jacobi.sorted_sigma())
     }
 
     /// The left singular vectors, `m × r`.
@@ -169,106 +195,159 @@ impl<S: Scalar> Svd<S> {
     }
 }
 
+/// The QR-preconditioned Jacobi stage of a tall `m × n` SVD (`m ≥ n`), shared
+/// by the full decomposition and the values-only one.
+struct Jacobi<S: Scalar> {
+    qr: Householder<S>,
+    /// `column_of[i]` is the column of A at position i (zero columns last).
+    column_of: Vec<usize>,
+    /// Column-major `n × n` working columns, converged to `U_x·Σ`.
+    x: Vec<S>,
+    /// The accumulated rotations `V_x`, column-major `n × n`, when asked for.
+    v: Option<Vec<S>>,
+    /// Column norms of `x`, unsorted.
+    sigma: Vec<S>,
+    /// Positions of `sigma` in non-increasing order.
+    order: Vec<usize>,
+}
+
+impl<S: Scalar> Jacobi<S> {
+    /// Factors the `m × n` matrix held column-major in `columns` and
+    /// orthogonalizes the columns of `X = Rᵀ`, accumulating the rotations
+    /// into `V_x` only when `with_rotations` is set. The rotations of `X`
+    /// never read `V_x`, so `σ` is the same bits either way.
+    fn sweep(m: usize, n: usize, mut columns: Vec<S>, with_rotations: bool) -> Result<Self> {
+        // Exactly zero columns are factored last. In place, a zero column
+        // would put a zero on R's diagonal beside a nonzero row, and the
+        // sweeps would shrink a column of X towards zero until it underflows,
+        // never converging. Last, it is a zero column of X, which the sweeps
+        // skip as they would skip it in A.
+        let (mut column_of, zero_columns): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&j| columns[j * m..(j + 1) * m].iter().any(|&x| x != S::ZERO));
+        if !zero_columns.is_empty() {
+            column_of.extend(zero_columns);
+            columns = column_of
+                .iter()
+                .flat_map(|&j| columns[j * m..(j + 1) * m].iter().copied())
+                .collect();
+        }
+        let qr = Householder::factor(m, n, columns);
+        // Column-major working buffers: every Jacobi inner loop walks two
+        // columns, so each column is contiguous (column j at `x[j*n..][..n]`).
+        // R's rows are the columns of X = Rᵀ.
+        let mut x = qr.r_row_major();
+        let mut v = with_rotations.then(|| {
+            let mut identity = vec![S::ZERO; n * n];
+            for j in 0..n {
+                identity[j * n + j] = S::ONE;
+            }
+            identity
+        });
+
+        let mut converged = false;
+        let mut sweeps = 0;
+        while sweeps < MAX_SWEEPS && !converged {
+            converged = true;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    // Gram entries for columns p and q. The reduction is the
+                    // scalar type's own: strict serial order for f64 (the
+                    // bit-exact reference), a reassociated multi-lane pass
+                    // for f32 (see `Scalar::jacobi_gram`).
+                    let (xp_col, xq_col) = column_pair(&mut x, n, p, q);
+                    let (alpha, beta, gamma) = S::jacobi_gram(xp_col, xq_col);
+                    if gamma.abs() <= S::JACOBI_TOL * (alpha * beta).sqrt() || gamma == S::ZERO {
+                        continue;
+                    }
+                    converged = false;
+                    // Jacobi rotation that zeroes the (p, q) Gram entry.
+                    let zeta = (beta - alpha) / (S::TWO * gamma);
+                    let t = zeta.signum() / (zeta.abs() + (S::ONE + zeta * zeta).sqrt());
+                    let c = S::ONE / (S::ONE + t * t).sqrt();
+                    let s = c * t;
+                    rotate(xp_col, xq_col, c, s);
+                    if let Some(v) = v.as_mut() {
+                        let (vp_col, vq_col) = column_pair(v, n, p, q);
+                        rotate(vp_col, vq_col, c, s);
+                    }
+                }
+            }
+            sweeps += 1;
+        }
+        if !converged {
+            return Err(Error::NoConvergence {
+                algorithm: "one-sided Jacobi SVD",
+                iterations: sweeps,
+            });
+        }
+
+        // Column norms of the rotated matrix are the singular values.
+        let mut sigma = vec![S::ZERO; n];
+        for (s, column) in sigma.iter_mut().zip(x.chunks_exact(n)) {
+            let mut norm = S::ZERO;
+            for &xi in column {
+                norm += xi * xi;
+            }
+            *s = norm.sqrt();
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a_idx, &b_idx| {
+            sigma[b_idx]
+                .partial_cmp(&sigma[a_idx])
+                .unwrap_or(core::cmp::Ordering::Equal)
+        });
+        Ok(Self {
+            qr,
+            column_of,
+            x,
+            v,
+            sigma,
+            order,
+        })
+    }
+
+    /// The singular values, sorted non-increasing.
+    fn sorted_sigma(&self) -> Vec<S> {
+        self.order.iter().map(|&j| self.sigma[j]).collect()
+    }
+}
+
+/// Rotates the column pair `(p, q)` by the plane rotation `(c, s)`.
+#[inline]
+fn rotate<S: Scalar>(p_col: &mut [S], q_col: &mut [S], c: S, s: S) {
+    for (p_i, q_i) in p_col.iter_mut().zip(q_col.iter_mut()) {
+        let p = *p_i;
+        let q = *q_i;
+        *p_i = c * p - s * q;
+        *q_i = s * p + c * q;
+    }
+}
+
 /// The SVD `(U, σ, V)` of the `m × n` matrix (`m ≥ n`) held column-major in
 /// `columns`, with `σ` sorted non-increasing.
 fn tall_svd<S: Scalar>(
     m: usize,
     n: usize,
-    mut columns: Vec<S>,
+    columns: Vec<S>,
 ) -> Result<(Matrix<S>, Vec<S>, Matrix<S>)> {
-    // Exactly zero columns are factored last; `column_of[i]` is the column
-    // of A at position i. In place, a zero column would put a zero on R's
-    // diagonal beside a nonzero row, and the sweeps would shrink a column of
-    // X towards zero until it underflows, never converging. Last, it is a
-    // zero column of X, which the sweeps skip as they would skip it in A.
-    let (mut column_of, zero_columns): (Vec<usize>, Vec<usize>) =
-        (0..n).partition(|&j| columns[j * m..(j + 1) * m].iter().any(|&x| x != S::ZERO));
-    if !zero_columns.is_empty() {
-        column_of.extend(zero_columns);
-        columns = column_of
-            .iter()
-            .flat_map(|&j| columns[j * m..(j + 1) * m].iter().copied())
-            .collect();
-    }
-    let qr = Householder::factor(m, n, columns);
-    // Column-major working buffers: every Jacobi inner loop walks two
-    // columns, so each column is contiguous (column j at `x[j*n..][..n]`).
-    // R's rows are the columns of X = Rᵀ.
-    let mut x = qr.r_row_major(); // working columns converging to U_x·Σ
-    let mut v = vec![S::ZERO; n * n]; // column-major identity
-    for j in 0..n {
-        v[j * n + j] = S::ONE;
-    }
-
-    let mut converged = false;
-    let mut sweeps = 0;
-    while sweeps < MAX_SWEEPS && !converged {
-        converged = true;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                // Gram entries for columns p and q. The reduction is the
-                // scalar type's own: strict serial order for f64 (the
-                // bit-exact reference), a reassociated multi-lane pass for
-                // f32 (see `Scalar::jacobi_gram`).
-                let (xp_col, xq_col) = column_pair(&mut x, n, p, q);
-                let (alpha, beta, gamma) = S::jacobi_gram(xp_col, xq_col);
-                if gamma.abs() <= S::JACOBI_TOL * (alpha * beta).sqrt() || gamma == S::ZERO {
-                    continue;
-                }
-                converged = false;
-                // Jacobi rotation that zeroes the (p, q) Gram entry.
-                let zeta = (beta - alpha) / (S::TWO * gamma);
-                let t = zeta.signum() / (zeta.abs() + (S::ONE + zeta * zeta).sqrt());
-                let c = S::ONE / (S::ONE + t * t).sqrt();
-                let s = c * t;
-                for (xp_i, xq_i) in xp_col.iter_mut().zip(xq_col.iter_mut()) {
-                    let xp = *xp_i;
-                    let xq = *xq_i;
-                    *xp_i = c * xp - s * xq;
-                    *xq_i = s * xp + c * xq;
-                }
-                let (vp_col, vq_col) = column_pair(&mut v, n, p, q);
-                for (vp_i, vq_i) in vp_col.iter_mut().zip(vq_col.iter_mut()) {
-                    let vp = *vp_i;
-                    let vq = *vq_i;
-                    *vp_i = c * vp - s * vq;
-                    *vq_i = s * vp + c * vq;
-                }
-            }
-        }
-        sweeps += 1;
-    }
-    if !converged {
-        return Err(Error::NoConvergence {
-            algorithm: "one-sided Jacobi SVD",
-            iterations: sweeps,
-        });
-    }
-
-    // Column norms of the rotated matrix are the singular values.
-    let mut sigma = vec![S::ZERO; n];
-    for (s, column) in sigma.iter_mut().zip(x.chunks_exact(n)) {
-        let mut norm = S::ZERO;
-        for &xi in column {
-            norm += xi * xi;
-        }
-        *s = norm.sqrt();
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a_idx, &b_idx| {
-        sigma[b_idx]
-            .partial_cmp(&sigma[a_idx])
-            .unwrap_or(core::cmp::Ordering::Equal)
-    });
+    let jacobi = Jacobi::sweep(m, n, columns, true)?;
+    let sigma_sorted = jacobi.sorted_sigma();
+    let Jacobi {
+        qr,
+        column_of,
+        x,
+        v,
+        order,
+        ..
+    } = jacobi;
+    let v = v.expect("rotations were accumulated");
 
     // V = U_x: the normalized rotated columns of X, with the rows of the
     // moved zero columns put back. U = Q·[V_x; 0].
     let mut v_sorted = vec![S::ZERO; n * n];
     let mut u_sorted = vec![S::ZERO; m * n];
-    let mut sigma_sorted = vec![S::ZERO; n];
     for (new_j, &old_j) in order.iter().enumerate() {
-        let s = sigma[old_j];
-        sigma_sorted[new_j] = s;
+        let s = sigma_sorted[new_j];
         let x_col = &x[old_j * n..(old_j + 1) * n];
         for (&row, &xi) in column_of.iter().zip(x_col) {
             v_sorted[new_j * n + row] = if s > S::EPSILON { xi / s } else { S::ZERO };

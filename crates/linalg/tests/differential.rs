@@ -654,6 +654,27 @@ fn f32_svd_stays_within_budget_on_the_oracle_cases() {
     }
 }
 
+/// Asserts that the values-only kernel returns `Svd::compute`'s `σ` bit for
+/// bit on `a`.
+fn assert_values_only_sigma_is_exact<S: Scalar>(a: &Matrix<S>, label: &str) {
+    let full = Svd::compute(a).unwrap_or_else(|e| panic!("{label}: {e:?}"));
+    let values = Svd::singular_values_of(a).unwrap_or_else(|e| panic!("{label}: {e:?}"));
+    let bits = |sigma: &[S]| -> Vec<u64> { sigma.iter().map(|s| s.to_f64().to_bits()).collect() };
+    assert_eq!(
+        bits(&values),
+        bits(full.singular_values()),
+        "{label}: values-only σ differs from the full decomposition's"
+    );
+}
+
+#[test]
+fn values_only_sigma_is_bit_identical_to_the_full_svd_at_both_widths() {
+    for (label, a64) in oracle_cases() {
+        assert_values_only_sigma_is_exact(&a64, &format!("{label} f64"));
+        assert_values_only_sigma_is_exact(&a64.cast::<f32>(), &format!("{label} f32"));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // QR and solves.
 // ---------------------------------------------------------------------------

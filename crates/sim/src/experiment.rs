@@ -1076,7 +1076,7 @@ fn probe_lowrank_cycles(
             LayerKind::Conv => {
                 let shape = layer.conv.expect("conv layers carry a conv shape");
                 if layer.compressible {
-                    let (groups, k) = cfg.resolve(&shape);
+                    let (groups, k) = cfg.resolve(&shape)?;
                     let mapped = match cache {
                         Some(cache) => {
                             cache.lowrank_cycles(&shape, k, groups, array, cfg.use_sdk)?

@@ -6,6 +6,8 @@
 //! error profile per (layer, group) pair across the whole rank sweep instead
 //! of re-decomposing every grid cell.
 
+use std::sync::Arc;
+
 use imc_array::ArrayConfig;
 use imc_core::{
     search_lowrank_window, CompressionConfig, DecompCache, GroupErrorProfile, Precision, RankSpec,
@@ -207,27 +209,22 @@ fn table1_impl(
     }
     let workers = parallelism.unwrap_or_else(runtime::default_parallelism);
     let jobs = convs.len() * groups_sweep.len();
-    let profile_job = |flat: usize| -> Result<GroupErrorProfile> {
+    let profile_job = |flat: usize| -> Result<Arc<GroupErrorProfile>> {
         let (index, gi) = (flat / groups_sweep.len(), flat % groups_sweep.len());
         let (_, shape) = &convs[index];
         let layer_seed = seed.wrapping_add(index as u64).wrapping_mul(0x9E37_79B9);
+        let g = groups_sweep[gi].min(shape.im2col_rows());
         match cache {
-            // Session runs share the matrixized weights and per-block SVDs
-            // through the cache; the derived profile is bit-identical to the
-            // direct computation (same spectra, same Frobenius norm).
-            Some(cache) => {
-                let matrix = cache.im2col_matrix(shape, layer_seed)?;
-                let g = groups_sweep[gi].min(matrix.cols());
-                let svds = cache.block_svds(shape, layer_seed, g)?;
-                Ok(GroupErrorProfile::from_block_svds(&svds, &matrix))
-            }
+            // Session runs share the block spectra through the cache: the
+            // very profiles the strategy engine reads its errors from.
+            Some(cache) => Ok(cache.block_svds(shape, layer_seed, g)?),
             None => {
                 let weight = Tensor4::kaiming_for(shape, layer_seed)?;
-                let matrix = weight.to_im2col_matrix();
-                let g = groups_sweep[gi].min(matrix.cols());
-                Ok(GroupErrorProfile::compute_with_precision(
-                    &matrix, g, precision,
-                )?)
+                Ok(Arc::new(GroupErrorProfile::compute_with_precision(
+                    &weight.to_im2col_matrix(),
+                    g,
+                    precision,
+                )?))
             }
         }
     };
@@ -241,7 +238,7 @@ fn table1_impl(
             flat_profiles.push(result?);
         }
     }
-    let mut profiles: Vec<Vec<GroupErrorProfile>> = Vec::with_capacity(convs.len());
+    let mut profiles: Vec<Vec<Arc<GroupErrorProfile>>> = Vec::with_capacity(convs.len());
     let mut flat_iter = flat_profiles.into_iter();
     for _ in 0..convs.len() {
         profiles.push(flat_iter.by_ref().take(groups_sweep.len()).collect());
@@ -259,7 +256,7 @@ fn table1_impl(
             // Accuracy from the error profiles.
             let mut errors: Vec<(f64, f64)> = Vec::with_capacity(convs.len());
             for (li, (_, shape)) in convs.iter().enumerate() {
-                let (_, k) = config.resolve(shape);
+                let (_, k) = config.resolve(shape)?;
                 errors.push((
                     profiles[li][gi].relative_error_for_rank(k),
                     weights_share[li],
@@ -282,7 +279,7 @@ fn table1_impl(
                             imc_tensor::LayerKind::Conv => {
                                 let shape = layer.conv.expect("conv layers carry a conv shape");
                                 if layer.compressible {
-                                    let (g, k) = config.resolve(&shape);
+                                    let (g, k) = config.resolve(&shape)?;
                                     total += match cache {
                                         Some(cache) => cache
                                             .lowrank_cycles(&shape, k, g, *array, *use_sdk)?

@@ -8,7 +8,9 @@
 //! LRU eviction) and hands it to every
 //! [`Experiment::run_in`](crate::experiment::Experiment::run_in) call, so
 //! repeated sweeps sharing networks, seeds and precision reuse each other's
-//! seeded weights, per-block SVDs, decompositions and window searches.
+//! seeded weights, per-block singular values and window searches. (The
+//! sweeps score every low-rank cell from the block spectra, so no factor
+//! matrix is built or held on their path.)
 //!
 //! The cache is pure memoization: a warm-session run is **bit-identical** to
 //! a cold run of the same sweep — the only observable differences are
@@ -37,12 +39,13 @@
 //!
 //! # Sizing the cache budget
 //!
-//! Entries are dominated by the per-layer weight tensors, im2col matrices
-//! and per-(layer, group) SVD factor sets — roughly
-//! `3 × weight_count × 8` bytes per (layer, group) pair actively swept. A
-//! budget of a few hundred MiB comfortably holds the full working set of the
-//! paper's grids; an undersized budget degrades gracefully (more misses,
-//! identical results). Unbounded sessions never evict.
+//! Entries are dominated by the per-layer weight tensors and im2col
+//! matrices — roughly `2 × weight_count × 8` bytes per layer swept; the
+//! per-(layer, group) spectra add at most `min(m, n)` values per block. A
+//! budget of a few tens of MiB holds the full working set of the paper's
+//! ResNet-20 grids (the fig6 panel holds ~4.4 MB); an undersized budget
+//! degrades gracefully (more misses, identical results). Unbounded sessions
+//! never evict.
 
 use imc_core::{CacheStats, DecompCache, Precision};
 

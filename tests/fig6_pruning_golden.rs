@@ -41,22 +41,22 @@ macro_rules! golden_rows {
 /// Regenerate with the ignored `regenerate` test.
 #[rustfmt::skip]
 const LOWRANK_GOLDEN: &[GoldenRow] = golden_rows![
-    ("ours (g=1, k=m/2, SDK)") => 13505.0 @ 90.16647974812071,
-    ("ours (g=1, k=m/4, SDK)") => 10961.0 @ 85.88121684490385,
-    ("ours (g=1, k=m/8, SDK)") => 9513.0 @ 81.42593089319033,
-    ("ours (g=1, k=m/16, SDK)") => 8533.0 @ 78.27352333687526,
-    ("ours (g=2, k=m/2, SDK)") => 17409.0 @ 90.67278856154559,
-    ("ours (g=2, k=m/4, SDK)") => 13505.0 @ 86.97411205458259,
-    ("ours (g=2, k=m/8, SDK)") => 10961.0 @ 82.476348042616,
-    ("ours (g=2, k=m/16, SDK)") => 9513.0 @ 78.99186329400949,
+    ("ours (g=1, k=m/2, SDK)") => 13505.0 @ 90.16647974812068,
+    ("ours (g=1, k=m/4, SDK)") => 10961.0 @ 85.88121684490375,
+    ("ours (g=1, k=m/8, SDK)") => 9513.0 @ 81.42593089319014,
+    ("ours (g=1, k=m/16, SDK)") => 8533.0 @ 78.27352333687506,
+    ("ours (g=2, k=m/2, SDK)") => 17409.0 @ 90.67278856154557,
+    ("ours (g=2, k=m/4, SDK)") => 13505.0 @ 86.9741120545825,
+    ("ours (g=2, k=m/8, SDK)") => 10961.0 @ 82.4763480426158,
+    ("ours (g=2, k=m/16, SDK)") => 9513.0 @ 78.99186329400928,
     ("ours (g=4, k=m/2, SDK)") => 29185.0 @ 91.17010052855423,
-    ("ours (g=4, k=m/4, SDK)") => 17409.0 @ 88.35298712495673,
-    ("ours (g=4, k=m/8, SDK)") => 13505.0 @ 83.96294607061195,
-    ("ours (g=4, k=m/16, SDK)") => 10961.0 @ 80.09514906240034,
+    ("ours (g=4, k=m/4, SDK)") => 17409.0 @ 88.35298712495667,
+    ("ours (g=4, k=m/8, SDK)") => 13505.0 @ 83.96294607061188,
+    ("ours (g=4, k=m/16, SDK)") => 10961.0 @ 80.09514906240014,
     ("ours (g=8, k=m/2, SDK)") => 57345.0 @ 91.51422090447241,
-    ("ours (g=8, k=m/4, SDK)") => 29185.0 @ 89.88430154835643,
-    ("ours (g=8, k=m/8, SDK)") => 17409.0 @ 85.93942284906066,
-    ("ours (g=8, k=m/16, SDK)") => 13505.0 @ 81.67974631617675,
+    ("ours (g=8, k=m/4, SDK)") => 29185.0 @ 89.88430154835639,
+    ("ours (g=8, k=m/8, SDK)") => 17409.0 @ 85.93942284906058,
+    ("ours (g=8, k=m/16, SDK)") => 13505.0 @ 81.67974631617656,
 ];
 
 /// The certified pruning cells at `DEFAULT_SEED`, in grid order. Regenerate

@@ -83,25 +83,25 @@ macro_rules! golden_rows {
 const GOLDEN: &[GoldenRow] = golden_rows![
     ("deep-thin", 32, "im2col baseline") => 27457.0 @ 90.0,
     ("deep-thin", 32, "SDK baseline") => 13345.0 @ 90.0,
-    ("deep-thin", 32, "ours (g=4, k=m/8, SDK)") => 11681.0 @ 82.10058284138842,
+    ("deep-thin", 32, "ours (g=4, k=m/8, SDK)") => 11681.0 @ 82.10058284138837,
     ("deep-thin", 32, "PatDNN pattern pruning (4 entries)") => 11201.0 @ 85.92783301751273,
     ("deep-thin", 32, "PAIRS (6 entries)") => 11713.0 @ 89.02450960854112,
     ("deep-thin", 32, "2-bit quantized") => 7185.0 @ 87.8,
     ("deep-thin", 64, "im2col baseline") => 17793.0 @ 90.0,
     ("deep-thin", 64, "SDK baseline") => 5497.0 @ 90.0,
-    ("deep-thin", 64, "ours (g=4, k=m/8, SDK)") => 5609.0 @ 82.10058284138842,
+    ("deep-thin", 64, "ours (g=4, k=m/8, SDK)") => 5609.0 @ 82.10058284138837,
     ("deep-thin", 64, "PatDNN pattern pruning (4 entries)") => 9409.0 @ 85.92783301751273,
     ("deep-thin", 64, "PAIRS (6 entries)") => 5281.0 @ 89.02450960854112,
     ("deep-thin", 64, "2-bit quantized") => 3261.0 @ 87.8,
     ("wide-shallow", 32, "im2col baseline") => 78852.0 @ 90.0,
     ("wide-shallow", 32, "SDK baseline") => 78852.0 @ 90.0,
-    ("wide-shallow", 32, "ours (g=4, k=m/8, SDK)") => 44036.0 @ 81.82245953358375,
+    ("wide-shallow", 32, "ours (g=4, k=m/8, SDK)") => 44036.0 @ 81.82245953358306,
     ("wide-shallow", 32, "PatDNN pattern pruning (4 entries)") => 13316.0 @ 78.73985120521638,
     ("wide-shallow", 32, "PAIRS (6 entries)") => 19460.0 @ 81.33320772224793,
     ("wide-shallow", 32, "2-bit quantized") => 39940.0 @ 87.8,
     ("wide-shallow", 64, "im2col baseline") => 20994.0 @ 90.0,
     ("wide-shallow", 64, "SDK baseline") => 20994.0 @ 90.0,
-    ("wide-shallow", 64, "ours (g=4, k=m/8, SDK)") => 13058.0 @ 81.82245953358375,
+    ("wide-shallow", 64, "ours (g=4, k=m/8, SDK)") => 13058.0 @ 81.82245953358306,
     ("wide-shallow", 64, "PatDNN pattern pruning (4 entries)") => 4098.0 @ 78.73985120521638,
     ("wide-shallow", 64, "PAIRS (6 entries)") => 6146.0 @ 81.33320772224793,
     ("wide-shallow", 64, "2-bit quantized") => 11010.0 @ 87.8,
@@ -119,13 +119,13 @@ const GOLDEN: &[GoldenRow] = golden_rows![
     ("depthwise-heavy", 64, "2-bit quantized") => 1633.0 @ 87.8,
     ("matmul-projection", 32, "im2col baseline") => 23042.0 @ 90.0,
     ("matmul-projection", 32, "SDK baseline") => 23042.0 @ 90.0,
-    ("matmul-projection", 32, "ours (g=4, k=m/8, SDK)") => 23298.0 @ 87.29511548756024,
+    ("matmul-projection", 32, "ours (g=4, k=m/8, SDK)") => 23298.0 @ 87.2951154875602,
     ("matmul-projection", 32, "PatDNN pattern pruning (4 entries)") => 15362.0 @ 89.73915546869728,
     ("matmul-projection", 32, "PAIRS (6 entries)") => 18434.0 @ 89.9293251389207,
     ("matmul-projection", 32, "2-bit quantized") => 12034.0 @ 87.8,
     ("matmul-projection", 64, "im2col baseline") => 12545.0 @ 90.0,
     ("matmul-projection", 64, "SDK baseline") => 8449.0 @ 90.0,
-    ("matmul-projection", 64, "ours (g=4, k=m/8, SDK)") => 11009.0 @ 87.29511548756024,
+    ("matmul-projection", 64, "ours (g=4, k=m/8, SDK)") => 11009.0 @ 87.2951154875602,
     ("matmul-projection", 64, "PatDNN pattern pruning (4 entries)") => 8705.0 @ 89.73915546869728,
     ("matmul-projection", 64, "PAIRS (6 entries)") => 7425.0 @ 89.9293251389207,
     ("matmul-projection", 64, "2-bit quantized") => 4737.0 @ 87.8,
