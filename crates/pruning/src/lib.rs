@@ -12,8 +12,6 @@
 //!   pattern across all kernels, chosen so that entire rows of the SDK
 //!   mapping become all-zero and can be skipped by deactivating wordlines
 //!   (zero-skipping hardware, no realignment MUX needed).
-//! * [`column::ColumnPruning`] — channel pruning, which removes whole
-//!   crossbar columns.
 //!
 //! Every baseline reports the same [`PrunedLayer`] summary (occupancy, loads,
 //! removed-weight fraction, required peripheral circuitry) so the experiment
@@ -22,13 +20,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod column;
 mod mask;
 pub mod pairs;
 pub mod pattern;
 pub mod types;
 
-pub use column::ColumnPruning;
 pub use pairs::PairsPruning;
 pub use pattern::PatternPruning;
 pub use types::{Peripheral, PrunedLayer};

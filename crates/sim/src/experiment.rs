@@ -53,25 +53,19 @@
 //! [`ExperimentRun::to_jsonl`](crate::record) in between — into the
 //! canonical grid order, byte-identically to an unsharded run.
 //!
-//! [`Experiment::frontier`] is the adaptive alternative to the exhaustive
-//! sweep: a successive-halving / bisection search over each monotone
-//! strategy chain that returns exactly the per-method-series accuracy/cycles
-//! Pareto front of the grid while evaluating only a fraction of its cells.
+//! [`Experiment::frontier`] runs the same sweep and keeps only the records
+//! on the accuracy/cycles Pareto front of each method series in each
+//! (network, array) panel.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
-use imc_array::{linear_mapping, ArrayConfig};
-use imc_core::{
-    lowrank_im2col_cycles, search_lowrank_window, CompressionConfig, DecompCache, Precision,
-    RankSpec,
-};
+use imc_array::ArrayConfig;
+use imc_core::{DecompCache, Precision};
 use imc_energy::EnergyParams;
 use imc_nn::NetworkArch;
-use imc_tensor::LayerKind;
 
-use crate::experiments::DEFAULT_SEED;
+use crate::experiments::{pareto_front_indices, DEFAULT_SEED};
 use crate::network::{
     evaluate_layer, fold_layers, CompressionMethod, LayerStep, NetworkEvaluation,
 };
@@ -85,7 +79,7 @@ use crate::spec::{
     builtin_method_from_spec, builtin_method_spec, ArrayAxis, ExperimentSpec, RunManifest,
     StrategySpec, SPEC_FORMAT_VERSION,
 };
-use crate::strategy::{dense_im2col_outcome, CompressionStrategy};
+use crate::strategy::CompressionStrategy;
 use crate::synth::SyntheticNetSpec;
 use crate::{Error, Result};
 
@@ -321,21 +315,21 @@ impl Experiment {
         self
     }
 
-    /// Switches the experiment into adaptive frontier-search mode (default:
-    /// off). A frontier-mode experiment is run with [`Experiment::frontier`]
-    /// (or [`Experiment::frontier_in`]) instead of [`Experiment::run`], its
-    /// spec round-trip carries `"frontier": true`, and its manifest marks
-    /// the run as a Pareto-front subset of the grid.
+    /// Switches the experiment into frontier mode (default: off). A
+    /// frontier-mode experiment is run with [`Experiment::frontier`] (or
+    /// [`Experiment::frontier_in`]) instead of [`Experiment::run`], its spec
+    /// round-trip carries `"frontier": true`, and its manifest marks the run
+    /// as a Pareto-front subset of the grid.
     ///
     /// Frontier mode and [`Experiment::cells`] are mutually exclusive: the
-    /// search plans its own evaluations over the full grid.
+    /// fronts are taken over the full grid.
     #[must_use]
     pub fn frontier_mode(mut self, enabled: bool) -> Self {
         self.frontier = enabled;
         self
     }
 
-    /// Whether the experiment is in frontier-search mode
+    /// Whether the experiment is in frontier mode
     /// ([`Experiment::frontier_mode`]).
     pub fn is_frontier(&self) -> bool {
         self.frontier
@@ -611,8 +605,8 @@ impl Experiment {
 
     /// Evaluates `cells` on the worker pool and hands their records to
     /// `deliver` in the order of `cells` — the one scheduler behind
-    /// [`Experiment::run`], [`Experiment::run_streaming`] and the frontier
-    /// search's rounds.
+    /// [`Experiment::run`], [`Experiment::run_streaming`] and
+    /// [`Experiment::frontier`].
     ///
     /// The unit of parallel work is one layer of one cell: the cells'
     /// layers are flattened into (cell, layer) jobs, cell-major, and each
@@ -695,57 +689,31 @@ impl Experiment {
         outcome
     }
 
-    /// Runs the adaptive frontier search: instead of evaluating the full
-    /// grid, a successive-halving / bisection search walks each monotone
-    /// strategy chain of every (network, array) panel and returns **exactly**
-    /// the union of the per-method-series accuracy/cycles Pareto fronts —
-    /// the same records, byte for byte, that filtering an exhaustive
-    /// [`Experiment::run`] down to those fronts would produce — while
-    /// evaluating only a fraction of the cells.
+    /// Runs the sweep and keeps only the records on a Pareto front: for each
+    /// (network, array) panel and each method series in it, the cells that
+    /// no other cell of the series beats on accuracy in fewer cycles. These
+    /// are the points the Fig. 6 comparison plots.
     ///
-    /// # Algorithm
-    ///
-    /// Strategies are classified by their wire spec into *chains* along
-    /// which both accuracy and cycles are monotone non-increasing: the
-    /// low-rank method per `(groups, rank-kind, sdk)` with the rank as the
-    /// axis, PatDNN/PAIRS with kept entries, DoReFa with bits; baselines and
-    /// unrecognized strategies are singleton chains (always evaluated).
-    /// Chains grouped by *method series* (the fig6 grouping: all low-rank
-    /// configurations are one "ours" series) compete for the same front.
-    /// Each round evaluates one bisection candidate per chain — the
-    /// unevaluated end of the open gap, or its midpoint once both ends are
-    /// known — and then prunes every cell that an evaluated series point
-    /// provably dominates, using the accuracy of the nearest evaluated
-    /// higher-rank chain mate as an upper bound and an exact analytic
-    /// cycles probe (mapping-only, no SVD) for low-rank cells. The layers of
-    /// one round's candidates run in parallel as (cell, layer) jobs; the
-    /// result is identical for every worker count.
-    ///
-    /// # Exactness
-    ///
-    /// Pruning only removes cells that a completed evaluation dominates
-    /// under the monotonicity above (which holds for the built-in methods:
-    /// reconstruction error shrinks as rank/entries/bits grow), so the
-    /// evaluated set always contains the true front, and the Pareto filter
-    /// over it — including the grid-order tie handling of
-    /// [`pareto_front`](crate::experiments::pareto_front) — reproduces the
-    /// exhaustive front exactly. The differential test suite certifies this
-    /// against the exhaustive fig6 grid at
-    /// [`DEFAULT_SEED`](crate::experiments::DEFAULT_SEED).
+    /// The series are the fig6 grouping: every low-rank configuration of one
+    /// mapping (im2col or SDK) is one series, as are PatDNN, PAIRS and
+    /// DoReFa; every other strategy (the baselines, and strategies without a
+    /// built-in wire spec) forms a series of its own. Each front is
+    /// [`pareto_front`](crate::experiments::pareto_front)'s filter over the
+    /// series' records in grid order, so ties in cycles keep the earlier
+    /// cell. The kept records are byte-identical to their exhaustive twins,
+    /// in grid order, and the result depends on neither the worker count nor
+    /// the cache state.
     ///
     /// # Errors
     ///
     /// As [`Experiment::run`]; additionally [`Error::Builder`] when the
-    /// experiment carries a [`Experiment::cells`] restriction (the search
-    /// plans its own evaluations over the full grid).
+    /// experiment carries a [`Experiment::cells`] restriction (the fronts
+    /// are taken over the full grid).
     pub fn frontier(self) -> Result<FrontierOutcome> {
-        let cache = self
-            .use_cache
-            .then(|| DecompCache::with_precision(self.precision));
-        self.frontier_with(cache.as_ref())
+        self.frontier_with(Experiment::run)
     }
 
-    /// The session variant of [`Experiment::frontier`]: the search borrows
+    /// The session variant of [`Experiment::frontier`]: the sweep borrows
     /// the long-lived decomposition cache of an
     /// [`EvalSession`](crate::session::EvalSession), so its evaluations warm
     /// (and reuse) the same entries as every other run of the session.
@@ -756,191 +724,80 @@ impl Experiment {
     /// session's precision differs from the experiment's (same contract as
     /// [`Experiment::run_in`]).
     pub fn frontier_in(self, session: &EvalSession) -> Result<FrontierOutcome> {
-        if session.precision() != self.precision {
-            return Err(Error::Builder {
-                what: format!(
-                    "session was built for {} but the experiment requested {} \
-                     (set EvalSession::builder().precision(..) to match)",
-                    session.precision(),
-                    self.precision
-                ),
-            });
-        }
-        let cache = self.use_cache.then(|| session.cache());
-        self.frontier_with(cache)
+        self.frontier_with(|experiment| experiment.run_in(session))
     }
 
-    /// The frontier search engine behind [`Experiment::frontier`] and
-    /// [`Experiment::frontier_in`].
-    fn frontier_with(self, cache: Option<&DecompCache>) -> Result<FrontierOutcome> {
-        if self.networks.is_empty() {
-            return Err(Error::Builder {
-                what: "no network added (call .network(..) or .networks(..))".to_owned(),
-            });
-        }
-        if self.arrays.is_empty() {
-            return Err(Error::Builder {
-                what: "no array size added (call .array(..) or .arrays(..))".to_owned(),
-            });
-        }
-        if self.strategies.is_empty() {
-            return Err(Error::Builder {
-                what: "no strategy added (call .strategy(..) or .method(..))".to_owned(),
-            });
-        }
+    /// The frontier filter behind [`Experiment::frontier`] and
+    /// [`Experiment::frontier_in`]: the exhaustive sweep by `run`, then one
+    /// Pareto filter per (panel, series).
+    fn frontier_with(
+        mut self,
+        run: impl FnOnce(Experiment) -> Result<ExperimentRun>,
+    ) -> Result<FrontierOutcome> {
         if self.cell_range.is_some() {
             return Err(Error::Builder {
-                what: "frontier search explores the full grid adaptively and cannot be \
-                       combined with .cells(..)"
+                what: "a frontier run filters the full grid and cannot be combined with \
+                       .cells(..)"
                     .to_owned(),
             });
         }
-        let mut arrays = Vec::with_capacity(self.arrays.len());
-        for axis in &self.arrays {
-            arrays.push((axis.rows, axis.to_config()?));
-        }
-
-        // Classify every strategy once: which monotone chain and method
-        // series it belongs to, and where on the chain's accuracy axis it
-        // sits.
-        let classes: Vec<CellClass> = (0..self.strategies.len())
-            .map(|index| classify_strategy(self.strategy_specs[index].as_ref(), index))
+        let series: Vec<SeriesKey> = self
+            .strategy_specs
+            .iter()
+            .enumerate()
+            .map(|(index, spec)| series_of(spec.as_ref(), index))
             .collect();
+        let mut keys: Vec<SeriesKey> = Vec::new();
+        for key in &series {
+            if !keys.contains(key) {
+                keys.push(*key);
+            }
+        }
+        self.frontier = false;
+        let run = run(self)?;
+        let grid_cells = run.records.len();
 
-        // Flatten the grid in canonical order (network-major, then array,
-        // then strategy — identical to the exhaustive engine), instantiating
-        // the chains and series per (network, array) panel.
-        let mut cells: Vec<FrontierCell> =
-            Vec::with_capacity(self.networks.len() * arrays.len() * self.strategies.len());
-        let mut series_ids: HashMap<(usize, usize, SeriesKey), usize> = HashMap::new();
-        let mut chain_map: HashMap<(usize, usize, ChainKey), Vec<usize>> = HashMap::new();
-        for network_index in 0..self.networks.len() {
-            for (array_pos, &(size, array)) in arrays.iter().enumerate() {
-                for (strategy_index, class) in classes.iter().enumerate() {
-                    let id = cells.len();
-                    let next_series = series_ids.len();
-                    let series = *series_ids
-                        .entry((network_index, array_pos, class.series))
-                        .or_insert(next_series);
-                    chain_map
-                        .entry((network_index, array_pos, class.chain))
-                        .or_default()
-                        .push(id);
-                    cells.push(FrontierCell {
-                        grid: GridCell {
-                            cell_index: id,
-                            network_index,
-                            size,
-                            array,
-                            strategy_index,
-                        },
-                        series,
-                        probe: None,
-                    });
+        // The full grid is panel-major: each (network, array) panel is
+        // `series.len()` consecutive records, one per strategy.
+        let mut on_front = vec![false; grid_cells];
+        for panel in run.records.chunks(series.len()) {
+            for key in &keys {
+                let members: Vec<&RunRecord> = panel
+                    .iter()
+                    .filter(|record| series[record.strategy_index] == *key)
+                    .collect();
+                let points: Vec<(f64, f64)> = members
+                    .iter()
+                    .map(|record| (record.eval.cycles, record.eval.accuracy))
+                    .collect();
+                for index in pareto_front_indices(&points) {
+                    on_front[members[index].cell_index] = true;
                 }
             }
         }
-        let mut chains: Vec<Vec<usize>> = chain_map.into_values().collect();
-        for chain in &mut chains {
-            // Descending accuracy along the chain; insertion (= grid) order
-            // among strategies sharing an axis position.
-            chain.sort_by_key(|&id| (classes[cells[id].grid.strategy_index].axis, id));
-        }
-        chains.sort_by_key(|chain| chain[0]);
-
-        // Exact analytic cycles for every low-rank cell: the two-stage
-        // mapping cost is a pure function of layer geometry, rank and array
-        // (no SVD involved), so the probe equals what the full evaluation
-        // will report and lets pruning see cycle plateaus before paying for
-        // the decomposition.
-        for cell in &mut cells {
-            if let Some(cfg) = &classes[cell.grid.strategy_index].lowrank {
-                cell.probe = Some(probe_lowrank_cycles(
-                    &self.networks[cell.grid.network_index],
-                    cfg,
-                    cell.grid.array,
-                    cache,
-                )?);
-            }
-        }
-
-        let mut evaluated: Vec<Option<RunRecord>> = (0..cells.len()).map(|_| None).collect();
-        let mut pruned = vec![false; cells.len()];
-        let mut cells_evaluated = 0usize;
-
-        loop {
-            // One bisection candidate per chain; per-chain choices depend
-            // only on that chain's state and pruning only on the evaluated
-            // set, so the round structure (and with it every produced value)
-            // is identical for any worker count.
-            let mut batch: Vec<usize> = Vec::new();
-            for chain in &chains {
-                if let Some(id) = next_candidate(chain, &evaluated, &pruned) {
-                    batch.push(id);
-                }
-            }
-            if batch.is_empty() {
-                break;
-            }
-            let round: Vec<GridCell> = batch.iter().map(|&id| cells[id].grid).collect();
-            self.evaluate_cells(&round, cache, |record| {
-                cells_evaluated += 1;
-                let id = record.cell_index;
-                evaluated[id] = Some(record);
-                Ok(())
-            })?;
-            prune_dominated(&cells, &chains, &evaluated, &mut pruned);
-        }
-
-        // Every cell is now evaluated or provably off its series front, so
-        // the Pareto filter over the evaluated points reproduces the
-        // exhaustive front exactly.
-        let mut by_series: HashMap<usize, Vec<usize>> = HashMap::new();
-        for record in evaluated.iter().flatten() {
-            by_series
-                .entry(cells[record.cell_index].series)
-                .or_default()
-                .push(record.cell_index);
-        }
-        let mut front_ids: Vec<usize> = Vec::new();
-        for ids in by_series.values() {
-            front_ids.extend(series_front_ids(ids, &evaluated));
-        }
-        front_ids.sort_unstable();
-        let records: Vec<RunRecord> = front_ids
+        let records = run
+            .records
             .into_iter()
-            .map(|id| evaluated[id].clone().expect("front cells are evaluated"))
+            .filter(|record| on_front[record.cell_index])
             .collect();
-
-        let grid_cells = cells.len();
-        let manifest = self.to_spec().ok().map(|spec| RunManifest {
-            seed: self.seed,
-            precision: self.precision,
-            parallelism: self.parallelism,
-            cells: 0..grid_cells,
-            arrays: self.manifest_axes(),
+        let manifest = run.manifest.map(|manifest| RunManifest {
             frontier: true,
-            spec_version: SPEC_FORMAT_VERSION,
-            spec_hash: spec.content_hash(),
+            ..manifest
         });
         Ok(FrontierOutcome {
             run: ExperimentRun::new(records, manifest),
-            cells_evaluated,
             grid_cells,
         })
     }
 }
 
-/// The result of an adaptive frontier search ([`Experiment::frontier`]): the
-/// Pareto-front run plus the search's evaluation accounting.
+/// The result of a frontier run ([`Experiment::frontier`]).
 #[derive(Debug)]
 pub struct FrontierOutcome {
     /// The front records in canonical grid order, with a manifest marked
     /// `frontier` (when the experiment is spec-serializable).
     pub run: ExperimentRun,
-    /// How many grid cells the search actually evaluated.
-    pub cells_evaluated: usize,
-    /// Size of the full grid the exhaustive sweep would have evaluated.
+    /// Size of the full grid the fronts were taken from.
     pub grid_cells: usize,
 }
 
@@ -955,36 +812,8 @@ struct GridCell {
     strategy_index: usize,
 }
 
-/// One cell of the frontier search grid, with its chain/series
-/// classification and the optional analytic cycles probe.
-struct FrontierCell {
-    grid: GridCell,
-    /// Dense id of the (network, array, method-series) group this cell
-    /// competes in.
-    series: usize,
-    /// Exact cycles of this cell, known without evaluation (low-rank cells
-    /// only: the mapping cost is geometry-determined).
-    probe: Option<f64>,
-}
-
-/// A monotone strategy chain: cells ordered by an axis along which accuracy
-/// and cycles are non-increasing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ChainKey {
-    LowRank {
-        sdk: bool,
-        groups: usize,
-        absolute: bool,
-    },
-    PatDnn,
-    Pairs,
-    DoReFa,
-    Single(usize),
-}
-
-/// The fig6 method-series grouping: every chain belongs to one series, and
-/// fronts are computed per series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The method series a strategy's records compete in for a front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SeriesKey {
     LowRank { sdk: bool },
     PatDnn,
@@ -993,217 +822,17 @@ enum SeriesKey {
     Single(usize),
 }
 
-/// Per-strategy classification shared by every (network, array) panel.
-struct CellClass {
-    chain: ChainKey,
-    series: SeriesKey,
-    /// Position on the chain's axis, increasing toward *lower* accuracy.
-    axis: i64,
-    /// The low-rank configuration, for the analytic cycles probe.
-    lowrank: Option<CompressionConfig>,
-}
-
-fn axis_descending(value: usize) -> i64 {
-    -i64::try_from(value).unwrap_or(i64::MAX)
-}
-
-/// Classifies one strategy by its wire spec. Strategies without a spec (or
-/// with one the built-in parser does not recognize) become singleton chains:
-/// they are always evaluated and compete only with themselves.
-fn classify_strategy(spec: Option<&StrategySpec>, index: usize) -> CellClass {
-    let method = spec.and_then(|s| builtin_method_from_spec(s).ok());
-    match method {
-        Some(CompressionMethod::LowRank(cfg)) => CellClass {
-            chain: ChainKey::LowRank {
-                sdk: cfg.use_sdk,
-                groups: cfg.groups,
-                absolute: matches!(cfg.rank, RankSpec::Absolute(_)),
-            },
-            series: SeriesKey::LowRank { sdk: cfg.use_sdk },
-            // Ascending divisor and descending absolute rank both walk the
-            // chain from high accuracy to low.
-            axis: match cfg.rank {
-                RankSpec::Divisor(d) => i64::try_from(d).unwrap_or(i64::MAX),
-                RankSpec::Absolute(k) => axis_descending(k),
-            },
-            lowrank: Some(cfg),
-        },
-        Some(CompressionMethod::PatternPruning { entries }) => CellClass {
-            chain: ChainKey::PatDnn,
-            series: SeriesKey::PatDnn,
-            axis: axis_descending(entries),
-            lowrank: None,
-        },
-        Some(CompressionMethod::Pairs { entries }) => CellClass {
-            chain: ChainKey::Pairs,
-            series: SeriesKey::Pairs,
-            axis: axis_descending(entries),
-            lowrank: None,
-        },
-        Some(CompressionMethod::Quantized { bits }) => CellClass {
-            chain: ChainKey::DoReFa,
-            series: SeriesKey::DoReFa,
-            axis: axis_descending(bits),
-            lowrank: None,
-        },
-        Some(CompressionMethod::Uncompressed { .. }) | None => CellClass {
-            chain: ChainKey::Single(index),
-            series: SeriesKey::Single(index),
-            axis: 0,
-            lowrank: None,
-        },
+/// The series of strategy `index`, read from its wire spec. Strategies
+/// without a spec, or with one the built-in parser does not recognize, form
+/// a series of their own.
+fn series_of(spec: Option<&StrategySpec>, index: usize) -> SeriesKey {
+    match spec.and_then(|spec| builtin_method_from_spec(spec).ok()) {
+        Some(CompressionMethod::LowRank(cfg)) => SeriesKey::LowRank { sdk: cfg.use_sdk },
+        Some(CompressionMethod::PatternPruning { .. }) => SeriesKey::PatDnn,
+        Some(CompressionMethod::Pairs { .. }) => SeriesKey::Pairs,
+        Some(CompressionMethod::Quantized { .. }) => SeriesKey::DoReFa,
+        Some(CompressionMethod::Uncompressed { .. }) | None => SeriesKey::Single(index),
     }
-}
-
-/// The exact per-inference cycle count of one network under a low-rank
-/// configuration: the same per-layer accounting as
-/// [`evaluate_strategy_with`], with the rank resolution of
-/// [`imc_core::LayerCompression::compress_cached`] mirrored exactly —
-/// mapping-only work, no SVD.
-fn probe_lowrank_cycles(
-    arch: &NetworkArch,
-    cfg: &CompressionConfig,
-    array: ArrayConfig,
-    cache: Option<&DecompCache>,
-) -> Result<f64> {
-    let mut cycles = 0.0_f64;
-    for layer in &arch.layers {
-        match layer.kind {
-            LayerKind::Linear => {
-                let shape = layer.linear.expect("linear layers carry a linear shape");
-                cycles += linear_mapping(&shape, array).cycles() as f64;
-            }
-            LayerKind::Conv => {
-                let shape = layer.conv.expect("conv layers carry a conv shape");
-                if layer.compressible {
-                    let (groups, k) = cfg.resolve(&shape)?;
-                    let mapped = match cache {
-                        Some(cache) => {
-                            cache.lowrank_cycles(&shape, k, groups, array, cfg.use_sdk)?
-                        }
-                        None if cfg.use_sdk => search_lowrank_window(&shape, k, groups, &array)?,
-                        None => lowrank_im2col_cycles(&shape, k, groups, &array)?,
-                    };
-                    cycles += mapped.total() as f64;
-                } else {
-                    cycles += dense_im2col_outcome(&shape, array).cycles;
-                }
-            }
-        }
-    }
-    // Mirror the ADC/input-precision cycle scale of `evaluate_strategy_with`
-    // exactly — the probe must equal what the full evaluation reports for
-    // pruning to stay sound on non-default axes.
-    if array.input_bits != ArrayConfig::DEFAULT_INPUT_BITS {
-        cycles *= imc_quant::activation_cycle_scale(array.input_bits);
-    }
-    Ok(cycles)
-}
-
-/// Picks this round's bisection candidate of one chain: the first maximal
-/// run of undecided cells, probed at its high-accuracy end while that side
-/// is unexplored, at its low-accuracy end while that side is, and bisected
-/// once both sides have evaluated anchors.
-fn next_candidate(
-    chain: &[usize],
-    evaluated: &[Option<RunRecord>],
-    pruned: &[bool],
-) -> Option<usize> {
-    let is_undecided = |id: usize| evaluated[id].is_none() && !pruned[id];
-    let start = (0..chain.len()).find(|&pos| is_undecided(chain[pos]))?;
-    let mut end = start;
-    while end + 1 < chain.len() && is_undecided(chain[end + 1]) {
-        end += 1;
-    }
-    let has_eval_before = chain[..start].iter().any(|&id| evaluated[id].is_some());
-    let has_eval_after = chain[end + 1..].iter().any(|&id| evaluated[id].is_some());
-    let pick = if !has_eval_before {
-        start
-    } else if !has_eval_after {
-        end
-    } else {
-        start + (end - start) / 2
-    };
-    Some(chain[pick])
-}
-
-/// Prunes every undecided cell that an evaluated point of its series
-/// provably dominates: the accuracy of the nearest evaluated
-/// higher-accuracy chain mate bounds the cell's accuracy from above, the
-/// analytic probe (or the nearest evaluated lower-accuracy chain mate)
-/// bounds its cycles from below, and exact cycle ties fall back to grid
-/// order — matching the stable-sort tie handling of
-/// [`pareto_front`](crate::experiments::pareto_front), so a pruned cell can
-/// never be on the front.
-fn prune_dominated(
-    cells: &[FrontierCell],
-    chains: &[Vec<usize>],
-    evaluated: &[Option<RunRecord>],
-    pruned: &mut [bool],
-) {
-    let mut series_points: HashMap<usize, Vec<(f64, f64, usize)>> = HashMap::new();
-    for record in evaluated.iter().flatten() {
-        series_points
-            .entry(cells[record.cell_index].series)
-            .or_default()
-            .push((record.eval.accuracy, record.eval.cycles, record.cell_index));
-    }
-    for chain in chains {
-        for (pos, &id) in chain.iter().enumerate() {
-            if pruned[id] || evaluated[id].is_some() {
-                continue;
-            }
-            let acc_ub = chain[..pos]
-                .iter()
-                .rev()
-                .find_map(|&q| evaluated[q].as_ref().map(|r| r.eval.accuracy))
-                .unwrap_or(f64::INFINITY);
-            let cyc_lb = cells[id].probe.or_else(|| {
-                chain[pos + 1..]
-                    .iter()
-                    .find_map(|&q| evaluated[q].as_ref().map(|r| r.eval.cycles))
-            });
-            let Some(cyc_lb) = cyc_lb else { continue };
-            let Some(points) = series_points.get(&cells[id].series) else {
-                continue;
-            };
-            let blocked = points.iter().any(|&(acc, cyc, grid)| {
-                acc >= acc_ub && (cyc < cyc_lb || (cyc == cyc_lb && grid < id))
-            });
-            if blocked {
-                pruned[id] = true;
-            }
-        }
-    }
-}
-
-/// The Pareto front of one series' evaluated cells, replicating
-/// [`pareto_front`](crate::experiments::pareto_front) exactly: stable sort
-/// by cycles (grid order among exact ties), keep strictly increasing
-/// accuracy. `ids` must be in grid order.
-fn series_front_ids(ids: &[usize], evaluated: &[Option<RunRecord>]) -> Vec<usize> {
-    let eval = |id: usize| {
-        &evaluated[id]
-            .as_ref()
-            .expect("series cells are evaluated")
-            .eval
-    };
-    let mut sorted: Vec<usize> = ids.to_vec();
-    sorted.sort_by(|&a, &b| {
-        eval(a)
-            .cycles
-            .partial_cmp(&eval(b).cycles)
-            .unwrap_or(Ordering::Equal)
-    });
-    let mut best_acc = f64::NEG_INFINITY;
-    let mut front = Vec::new();
-    for id in sorted {
-        if eval(id).accuracy > best_acc {
-            best_acc = eval(id).accuracy;
-            front.push(id);
-        }
-    }
-    front
 }
 
 /// One cell of the sweep grid: a network evaluated under one strategy on one
@@ -1564,7 +1193,7 @@ mod tests {
         let outcome = small_grid().frontier_mode(true).frontier().unwrap();
 
         // The three series of the small grid: the baseline singleton, the
-        // low-rank grid (two group chains), and the PatDNN entry chain.
+        // low-rank grid (two group counts), and the PatDNN entry sweep.
         let series = vec![vec![0usize], (1..=8).collect(), (9..=11).collect()];
         let expected_cells = reference_front_cells(&exhaustive, &series);
         let got_cells: Vec<usize> = outcome.run.records().iter().map(|r| r.cell_index).collect();
@@ -1584,11 +1213,6 @@ mod tests {
         );
 
         assert_eq!(outcome.grid_cells, 12);
-        assert!(
-            outcome.cells_evaluated < outcome.grid_cells,
-            "search evaluated all {} cells",
-            outcome.cells_evaluated
-        );
 
         // The manifest marks the run as a frontier subset of the full grid.
         let manifest = outcome.run.manifest().expect("spec-serializable");
@@ -1607,7 +1231,6 @@ mod tests {
         // recorded .parallelism() is part of the manifest by design).
         let serial = small_grid().parallelism_override(1).frontier().unwrap();
         let parallel = small_grid().parallelism_override(4).frontier().unwrap();
-        assert_eq!(serial.cells_evaluated, parallel.cells_evaluated);
         assert_eq!(
             serial.run.to_jsonl().unwrap(),
             parallel.run.to_jsonl().unwrap()

@@ -350,21 +350,35 @@ pub struct Fig6Panel {
 /// Extracts the Pareto front (maximal accuracy for minimal cycles) from a
 /// point set.
 pub fn pareto_front(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
-    let mut sorted: Vec<ParetoPoint> = points.to_vec();
-    sorted.sort_by(|a, b| {
-        a.cycles
-            .partial_cmp(&b.cycles)
+    let pairs: Vec<(f64, f64)> = points.iter().map(|p| (p.cycles, p.accuracy)).collect();
+    pareto_front_indices(&pairs)
+        .into_iter()
+        .map(|index| points[index].clone())
+        .collect()
+}
+
+/// The Pareto filter behind [`pareto_front`] and
+/// [`Experiment::frontier`](crate::experiment::Experiment::frontier): the
+/// indices of the `(cycles, accuracy)` points on the front, in ascending
+/// cycles. A stable sort by cycles keeps input order among exact ties, and a
+/// point is kept when its accuracy is strictly above every point before it.
+pub(crate) fn pareto_front_indices(points: &[(f64, f64)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_by(|&a, &b| {
+        points[a]
+            .0
+            .partial_cmp(&points[b].0)
             .unwrap_or(core::cmp::Ordering::Equal)
     });
-    let mut front: Vec<ParetoPoint> = Vec::new();
     let mut best_acc = f64::NEG_INFINITY;
-    for p in sorted {
-        if p.accuracy > best_acc {
-            best_acc = p.accuracy;
-            front.push(p);
+    order.retain(|&index| {
+        let keep = points[index].1 > best_acc;
+        if keep {
+            best_acc = points[index].1;
         }
-    }
-    front
+        keep
+    });
+    order
 }
 
 fn pareto_point(eval: &NetworkEvaluation) -> ParetoPoint {

@@ -260,8 +260,8 @@ pub struct RunKey {
     pub cells: Option<(usize, usize)>,
     /// The spec's pinned worker count, if any (recorded in the manifest).
     pub parallelism: Option<usize>,
-    /// Whether the spec requests the adaptive frontier search instead of
-    /// the exhaustive grid.
+    /// Whether the spec requests a frontier run (the per-series Pareto
+    /// fronts) instead of the exhaustive grid.
     pub frontier: bool,
 }
 

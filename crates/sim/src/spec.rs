@@ -38,11 +38,11 @@
 //!   only) and `"cells": {"start": A, "end": B}` (restrict the run to a cell
 //!   range of the grid — the sharding primitive, usually supplied by the
 //!   driver via `imc run --cells` instead of baked into the spec).
-//! * `"frontier": true` (default `false`) requests the adaptive frontier
-//!   search ([`Experiment::frontier`]): instead of evaluating the full grid,
-//!   the run returns exactly the per-method-series accuracy/cycles Pareto
-//!   front of each (network, array) panel. Frontier runs are marked in their
-//!   manifest and never merge with exhaustive shards.
+//! * `"frontier": true` (default `false`) requests a frontier run
+//!   ([`Experiment::frontier`]): the full grid runs, and only the records on
+//!   the per-method-series accuracy/cycles Pareto front of each (network,
+//!   array) panel are returned. Frontier runs are marked in their manifest
+//!   and never merge with exhaustive shards.
 //! * `networks` and `strategies` are resolved against a
 //!   [`Registry`](crate::registry::Registry): the built-in names are
 //!   pre-registered, external [`CompressionStrategy`] implementations and
@@ -521,9 +521,9 @@ pub struct ExperimentSpec {
     /// Restriction to a contiguous cell range of the grid (the sharding
     /// primitive); `None` = the full grid.
     pub cells: Option<Range<usize>>,
-    /// Whether the run is an adaptive frontier search
-    /// ([`Experiment::frontier`]) returning only the per-method-series
-    /// Pareto front instead of the exhaustive grid (default `false`).
+    /// Whether the run is a frontier run ([`Experiment::frontier`]) returning
+    /// only the per-method-series Pareto front instead of the exhaustive grid
+    /// (default `false`).
     pub frontier: bool,
     /// Inline synthetic-network generator documents ([`crate::synth`]);
     /// empty for every pre-PR-9 spec. Each document's `name` becomes
@@ -724,8 +724,8 @@ impl ExperimentSpec {
         };
         if frontier && cells.is_some() {
             return Err(spec_error(
-                "a frontier spec explores the full grid adaptively and cannot carry a \
-                 'cells' restriction",
+                "a frontier spec filters the full grid and cannot carry a 'cells' \
+                 restriction",
             ));
         }
 
@@ -963,10 +963,9 @@ pub struct RunManifest {
     /// [`RunRecord::array_size`](crate::experiment::RunRecord::array_size)
     /// only carries rows.
     pub arrays: Option<Vec<ArrayAxis>>,
-    /// Whether the run is an adaptive frontier search
-    /// ([`Experiment::frontier`]): its records are the per-method-series
-    /// Pareto front of the grid, not an exhaustive slice. Frontier runs
-    /// never merge with exhaustive shards.
+    /// Whether the run is a frontier run ([`Experiment::frontier`]): its
+    /// records are the per-method-series Pareto front of the grid, not an
+    /// exhaustive slice. Frontier runs never merge with exhaustive shards.
     pub frontier: bool,
     /// [`SPEC_FORMAT_VERSION`] of the producing spec.
     pub spec_version: u64,

@@ -3,7 +3,7 @@
 //!
 //! The paper evaluates exactly two fixed architectures (ResNet-20 and
 //! WRN16-4); every scaling layer of this harness — parallel sweeps, session
-//! caching, `imc serve`, resumable `imc sweep`, frontier search — was
+//! caching, `imc serve`, resumable `imc sweep`, frontier runs — was
 //! therefore exercised on a tiny scenario space. This module turns conv
 //! *topologies* into data: a [`SyntheticNetSpec`] describes a network as a
 //! stem plus a list of [`StageSpec`]s (depth, width, kernel, stride, group

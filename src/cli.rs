@@ -134,12 +134,12 @@ buffered stdout form. Setting IMC_FAULT_EXIT_AFTER_CELLS=k makes the process
 write k records plus one torn line and abort — the deterministic stand-in
 for `kill -9` used by the crash-resume tests.
 
-A spec with \"frontier\": true runs the adaptive frontier search instead of
-the exhaustive grid: only the cells on each method series' accuracy/cycles
-Pareto front are reported (the manifest records \"frontier\": true), and the
-records are certified identical to filtering the exhaustive run. Frontier
-runs reject '--cells' and `imc shard`/`imc sweep` — the search chooses its
-own cells — and are always written buffered.
+A spec with \"frontier\": true runs the whole grid and reports only the
+cells on each method series' accuracy/cycles Pareto front (the manifest
+records \"frontier\": true); each record is identical to its line in the
+exhaustive run. Frontier runs reject '--cells' and `imc shard`/`imc sweep`
+— the fronts are taken over the whole grid — and are always written
+buffered.
 ";
 
 const SWEEP_HELP: &str = "\
@@ -169,7 +169,7 @@ leaves the header, a complete prefix of records and at most one torn line.
 `--resume` checks that FILE's header is, byte for byte, the one this spec
 writes, keeps the records, cuts the torn line and appends the rest: crash
 plus resume gives the bytes of an uninterrupted `imc run`. Frontier specs
-are refused, since their records are known only once the search ends.
+are refused, since their records are known only once the whole grid has run.
 ";
 
 const SHARD_HELP: &str = "\
@@ -702,6 +702,23 @@ fn cmd_run(args: &[String], mode: RunMode) -> Result<()> {
         ));
     }
     let spec = ExperimentSpec::from_json(&read_input(source)?)?;
+    // Refused before the store is consulted, so a stored frontier run
+    // cannot slip past the refusal as a store hit.
+    if spec.frontier {
+        let refusal = match mode {
+            RunMode::Shard => Some("a frontier spec cannot be sharded"),
+            RunMode::Sweep => Some("a frontier spec cannot be swept"),
+            RunMode::Run => parsed
+                .cells
+                .is_some()
+                .then_some("'--cells' cannot restrict a frontier spec"),
+        };
+        if let Some(refusal) = refusal {
+            return Err(usage_error(format!(
+                "{refusal}: a frontier run filters the whole grid (run it with `imc run`)"
+            )));
+        }
+    }
     // A store is consulted under the key of what will actually run: the
     // spec's identity with the CLI `--cells` restriction folded in
     // (`--parallelism` is a local override, never part of the manifest).
@@ -738,25 +755,12 @@ fn cmd_run(args: &[String], mode: RunMode) -> Result<()> {
         }
     };
     if spec.frontier {
-        let refusal = match mode {
-            RunMode::Shard => Some("a frontier spec cannot be sharded"),
-            RunMode::Sweep => Some("a frontier spec cannot be swept"),
-            RunMode::Run => parsed
-                .cells
-                .is_some()
-                .then_some("'--cells' cannot restrict a frontier spec"),
-        };
-        if let Some(refusal) = refusal {
-            return Err(usage_error(format!(
-                "{refusal}: the search chooses its cells adaptively (run it whole with `imc run`)"
-            )));
-        }
         let mut experiment = spec.into_experiment(&Registry::new())?;
         if let Some(workers) = parsed.parallelism {
             experiment = experiment.parallelism_override(workers);
         }
-        // The frontier's record set is only known once the search finishes,
-        // so there is no streaming form — the run is written buffered.
+        // The fronts are only known once the whole grid has run, so there
+        // is no streaming form — the run is written buffered.
         let outcome = experiment.frontier()?;
         let run_bytes = outcome.run.to_jsonl()?;
         write_through(&run_bytes);

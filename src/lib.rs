@@ -49,7 +49,7 @@
 //! * [`imc_array`] — the IMC crossbar model and weight-mapping strategies.
 //! * [`imc_core`] — the paper's contribution: group low-rank decomposition and
 //!   SDK-aware low-rank mapping.
-//! * [`imc_pruning`] — pattern-pruning / PAIRS / column-pruning baselines.
+//! * [`imc_pruning`] — pattern-pruning and PAIRS baselines.
 //! * [`imc_quant`] — DoReFa-style quantization baselines.
 //! * [`imc_nn`] — a minimal neural-network substrate (ResNet-20, WRN16-4).
 //! * [`imc_energy`] — the NeuroSIM/ConvMapSIM-style energy simulator.

@@ -318,7 +318,7 @@ fn frontier_specs_run_report_and_refuse_the_sharding_paths() {
         .to_json();
     assert!(spec.contains("\"frontier\": true"), "{spec}");
 
-    // `imc run` honors the field: bytes match the library frontier search.
+    // `imc run` honors the field: bytes match the library frontier run.
     let cli_run = stdout_of(&["run", "-"], Some(&spec));
     let golden = experiment()
         .frontier()
@@ -349,6 +349,7 @@ fn frontier_specs_run_report_and_refuse_the_sharding_paths() {
     assert!(stderr.contains("frontier"), "{stderr}");
 
     let dir = std::env::temp_dir().join("imc_cli_frontier_sweep_reject");
+    let _ = std::fs::remove_dir_all(&dir);
     let out = dir
         .join("out.jsonl")
         .to_str()
@@ -359,6 +360,23 @@ fn frontier_specs_run_report_and_refuse_the_sharding_paths() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr).to_string();
     assert!(stderr.contains("frontier"), "{stderr}");
+
+    // A stored frontier run does not get a sweep past the refusal.
+    let store = dir.join("store").to_str().expect("utf-8 path").to_owned();
+    let output = imc(&["run", "-", "--store", &store], Some(&spec));
+    assert!(output.status.success(), "{output:?}");
+    assert_eq!(String::from_utf8_lossy(&output.stdout), cli_run);
+    let output = imc(
+        &["sweep", "-", "--store", &store, "--out", &out],
+        Some(&spec),
+    );
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr).to_string();
+    assert!(stderr.contains("frontier"), "{stderr}");
+    assert!(
+        !std::path::Path::new(&out).exists(),
+        "a refused sweep writes no --out file"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
