@@ -1,8 +1,7 @@
 //! Fig. 6 bench: regenerates the ResNet-20 / 64×64 panel once, benchmarks
 //! the pruning-baseline cycle sweep it is compared against, and measures the
-//! end-to-end panel sweep in its pre-optimization configuration (serial, no
-//! decomposition cache) against the optimized default (parallel, cached) —
-//! the before/after pair tracked in `BENCH_results.json`.
+//! end-to-end panel sweep on one worker against the default of one worker
+//! per hardware thread, each on a fresh decomposition cache per iteration.
 
 use imc_bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -52,16 +51,14 @@ fn fig6_methods() -> Vec<CompressionMethod> {
     methods
 }
 
-/// The full Fig. 6 method grid on one array size, under an explicit
-/// execution configuration.
-fn fig6_sweep(workers: usize, cached: bool) -> ExperimentRun {
+/// The full Fig. 6 method grid on one array size on `workers` threads.
+fn fig6_sweep(workers: usize) -> ExperimentRun {
     Experiment::new()
         .network(resnet20())
         .array(64)
         .seed(DEFAULT_SEED)
         .methods(fig6_methods())
         .parallelism(workers)
-        .decomposition_cache(cached)
         .run()
         .expect("sweep succeeds")
 }
@@ -78,18 +75,16 @@ fn bench_fig6(c: &mut Criterion) {
         b.iter(|| pruning_cycle_sweep(black_box(&array)))
     });
 
-    // Before/after pair for the evaluation-pipeline overhaul: the serial,
-    // uncached sweep reproduces the pre-optimization execution path; the
-    // default path runs the same grid with the shared decomposition cache on
-    // one worker per hardware thread. Both produce byte-identical records.
+    // The serial and the parallel sweep of the same grid; both produce
+    // byte-identical records. (The parallel row keeps its historical name.)
     let cells = fig6_methods().len() as u64;
-    c.bench_function("fig6_sweep_resnet20_64_serial_uncached", |b| {
+    c.bench_function("fig6_sweep_resnet20_64_serial", |b| {
         b.throughput(cells);
-        b.iter(|| fig6_sweep(1, false))
+        b.iter(|| fig6_sweep(1))
     });
     c.bench_function("fig6_sweep_resnet20_64_parallel_cached", |b| {
         b.throughput(cells);
-        b.iter(|| fig6_sweep(default_parallelism(), true))
+        b.iter(|| fig6_sweep(default_parallelism()))
     });
 }
 

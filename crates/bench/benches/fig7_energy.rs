@@ -4,13 +4,12 @@
 use imc_bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use imc_array::ArrayConfig;
 use imc_core::{CompressionConfig, RankSpec};
 use imc_energy::EnergyParams;
 use imc_nn::resnet20;
 use imc_sim::experiments::{fig7, DEFAULT_SEED};
-use imc_sim::network::{evaluate, CompressionMethod, NetworkEvaluation};
 use imc_sim::report::fig7_markdown;
+use imc_sim::{CompressionMethod, Experiment};
 
 fn bench_fig7(c: &mut Criterion) {
     let bars = fig7(&resnet20(), DEFAULT_SEED).expect("energy evaluation succeeds");
@@ -21,26 +20,17 @@ fn bench_fig7(c: &mut Criterion) {
 
     // Pre-build the three evaluations; the timed loop exercises only the
     // energy model itself (the part specific to Fig. 7).
-    let arch = resnet20();
-    let array = ArrayConfig::square(64).expect("valid array");
     let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).expect("valid config");
-    let evals: Vec<NetworkEvaluation> = vec![
-        evaluate(
-            &arch,
-            &CompressionMethod::Uncompressed { sdk: false },
-            array,
-            DEFAULT_SEED,
-        )
-        .expect("baseline"),
-        evaluate(
-            &arch,
-            &CompressionMethod::PatternPruning { entries: 6 },
-            array,
-            DEFAULT_SEED,
-        )
-        .expect("pruning"),
-        evaluate(&arch, &CompressionMethod::LowRank(cfg), array, DEFAULT_SEED).expect("ours"),
-    ];
+    let evals = Experiment::new()
+        .network(resnet20())
+        .array(64)
+        .seed(DEFAULT_SEED)
+        .method(CompressionMethod::Uncompressed { sdk: false })
+        .method(CompressionMethod::PatternPruning { entries: 6 })
+        .method(CompressionMethod::LowRank(cfg))
+        .run()
+        .expect("three evaluations")
+        .into_evaluations();
     let params = EnergyParams::default();
     c.bench_function("fig7_energy_model_three_methods", |b| {
         b.iter(|| {

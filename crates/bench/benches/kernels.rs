@@ -103,7 +103,7 @@ fn bench_decomposition_cache(c: &mut Criterion) {
                 let config =
                     CompressionConfig::new(RankSpec::Absolute(k), 4, true).expect("valid config");
                 black_box(
-                    LayerCompression::compress_cached(&shape3, &config, array, 11, &cache)
+                    LayerCompression::compress(&shape3, &config, array, 11, &cache)
                         .expect("valid config"),
                 );
             }

@@ -19,14 +19,14 @@ use imc_bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use imc_nn::resnet20;
-use imc_sim::experiments::{fig6_in, fig6_with, DEFAULT_SEED};
+use imc_sim::experiments::{fig6, fig6_in, DEFAULT_SEED};
 use imc_sim::report::fig6_markdown;
-use imc_sim::{EvalSession, Precision};
+use imc_sim::EvalSession;
 
 fn bench_session_reuse(c: &mut Criterion) {
     let arch = resnet20();
 
-    let cold = || fig6_with(&arch, 64, DEFAULT_SEED, None, Precision::F64).expect("panel");
+    let cold = || fig6(&arch, 64, DEFAULT_SEED).expect("panel");
     let warm_session = EvalSession::new();
     let bounded_session = EvalSession::builder().cache_budget_bytes(64 << 20).build();
     let warm =

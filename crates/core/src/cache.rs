@@ -17,8 +17,8 @@
 //! [`DecompCache::decomposition`] asks for them; no sweep path does.
 //!
 //! Because every cached value is deterministic in its key, a sweep produces
-//! bit-identical results with and without the cache, and regardless of which
-//! worker thread computed an entry.
+//! bit-identical results under any budget, and regardless of which worker
+//! thread computed an entry.
 //!
 //! # Single-flight misses
 //!
@@ -719,8 +719,6 @@ impl Residency for CompressedCycles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CompressionConfig, RankSpec};
-    use crate::layer::LayerCompression;
 
     fn shape() -> ConvShape {
         ConvShape::square(16, 16, 3, 1, 1, 16).unwrap()
@@ -771,26 +769,6 @@ mod tests {
         assert_eq!(stats.decompositions.hits, 2);
         assert_eq!(stats.evictions(), 0);
         assert!(stats.resident_bytes > 0);
-    }
-
-    #[test]
-    fn cached_layer_compression_matches_uncached() {
-        let shape = shape();
-        let cfg = CompressionConfig::new(RankSpec::Divisor(4), 2, true).unwrap();
-        let array = ArrayConfig::square(64).unwrap();
-        let cache = DecompCache::new();
-        let weight = Tensor4::kaiming_for(&shape, 11).unwrap();
-        let direct = LayerCompression::compress(&shape, &weight, &cfg, array).unwrap();
-        let cached = LayerCompression::compress_cached(&shape, &cfg, array, 11, &cache).unwrap();
-        assert_eq!(cached.cycles(), direct.cycles());
-        assert_eq!(cached.relative_error(), direct.relative_error());
-        assert_eq!(cached.parameter_count(), direct.parameter_count());
-        assert_eq!(
-            cached.baseline_sdk_cycles(),
-            direct.baseline_sdk_cycles(),
-            "cached SDK baseline search must match"
-        );
-        assert_eq!(cached.cycle_breakdown(), direct.cycle_breakdown());
     }
 
     #[test]

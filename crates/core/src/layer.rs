@@ -1,13 +1,11 @@
 //! Per-layer compression summary: resolved rank, error and cycle accounting.
 
-use imc_array::{im2col_mapping, search_best_window, ArrayConfig};
-use imc_linalg::Precision;
-use imc_tensor::{ConvShape, Tensor4};
+use imc_array::{im2col_mapping, ArrayConfig};
+use imc_tensor::ConvShape;
 
 use crate::cache::DecompCache;
 use crate::config::CompressionConfig;
-use crate::cycles::{lowrank_im2col_cycles, search_lowrank_window, CompressedCycles};
-use crate::profile::GroupErrorProfile;
+use crate::cycles::CompressedCycles;
 use crate::Result;
 
 /// The result of compressing one convolutional layer with a given
@@ -18,8 +16,8 @@ use crate::Result;
 /// the grouped decomposition, and the cycle accounting of both the
 /// compressed layer and the uncompressed baselines. The error is the
 /// Eckart–Young truncation error of the per-block singular values
-/// ([`GroupErrorProfile`]), so no factor matrix is built;
-/// [`crate::GroupLowRank`] builds the factors when they are wanted.
+/// ([`GroupErrorProfile`](crate::GroupErrorProfile)), so no factor matrix is
+/// built; [`crate::GroupLowRank`] builds the factors when they are wanted.
 #[derive(Debug, Clone)]
 pub struct LayerCompression {
     shape: ConvShape,
@@ -34,12 +32,17 @@ pub struct LayerCompression {
 }
 
 impl LayerCompression {
-    /// Compresses `weight` (the layer's weight tensor) according to `config`
-    /// and accounts its cycles on arrays of configuration `array`.
+    /// Compresses the seeded layer `(shape, seed)` according to `config` and
+    /// accounts its cycles on arrays of configuration `array`.
     ///
     /// The rank is resolved per the paper's convention (`m / divisor`,
     /// clamped to the per-group maximum); the group count is clamped to the
-    /// layer's input dimension.
+    /// layer's input dimension. The seeded weights, the block spectra (at
+    /// the cache's [`Precision`](crate::Precision)) and the mapping
+    /// searches come from `cache`, so a sweep computes each of them once per
+    /// distinct key instead of once per grid cell. Every cached value is a
+    /// pure function of its key, so the result is the same bits under any
+    /// cache budget.
     ///
     /// # Errors
     ///
@@ -47,65 +50,6 @@ impl LayerCompression {
     /// zero group count, or a rank that exceeds what the layer's group
     /// blocks allow).
     pub fn compress(
-        shape: &ConvShape,
-        weight: &Tensor4,
-        config: &CompressionConfig,
-        array: ArrayConfig,
-    ) -> Result<Self> {
-        Self::compress_with_precision(shape, weight, config, array, Precision::F64)
-    }
-
-    /// Like [`LayerCompression::compress`], but running the per-block SVDs —
-    /// the dominant cost of the sweep hot path — at the requested
-    /// [`Precision`]. `Precision::F64` is [`LayerCompression::compress`] bit
-    /// for bit; `Precision::F32` decomposes rounded single-precision blocks
-    /// and widens the singular values back to `f64`, so cycles, parameters
-    /// and the reported error all stay double-precision quantities.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`LayerCompression::compress`].
-    pub fn compress_with_precision(
-        shape: &ConvShape,
-        weight: &Tensor4,
-        config: &CompressionConfig,
-        array: ArrayConfig,
-        precision: Precision,
-    ) -> Result<Self> {
-        let (groups, k) = config.resolve(shape)?;
-        let w = weight.to_im2col_matrix();
-        let profile = GroupErrorProfile::compute_with_precision(&w, groups, precision)?;
-        let cycles = if config.use_sdk {
-            search_lowrank_window(shape, k, groups, &array)?
-        } else {
-            lowrank_im2col_cycles(shape, k, groups, &array)?
-        };
-        let baseline_sdk_cycles = search_best_window(shape, array)?.cycles;
-        Self::assemble(
-            shape,
-            config,
-            array,
-            &profile,
-            k,
-            cycles,
-            baseline_sdk_cycles,
-        )
-    }
-
-    /// Like [`LayerCompression::compress`], but sources the seeded weights,
-    /// the block spectra and the mapping searches from a shared
-    /// [`DecompCache`], so a sweep computes each of them once per distinct
-    /// key instead of once per grid cell.
-    ///
-    /// Every cached value is a pure function of its key, so the result is
-    /// bit-identical to the uncached path for the same `(shape, config,
-    /// array, seed)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, decomposition and mapping errors, exactly
-    /// as [`LayerCompression::compress`] does.
-    pub fn compress_cached(
         shape: &ConvShape,
         config: &CompressionConfig,
         array: ArrayConfig,
@@ -116,28 +60,6 @@ impl LayerCompression {
         let profile = cache.block_svds(shape, seed, groups)?;
         let cycles = cache.lowrank_cycles(shape, k, groups, array, config.use_sdk)?;
         let baseline_sdk_cycles = cache.best_window(shape, array)?.cycles;
-        Self::assemble(
-            shape,
-            config,
-            array,
-            &profile,
-            k,
-            cycles,
-            baseline_sdk_cycles,
-        )
-    }
-
-    /// The one assembly of both paths: checks the rank against the blocks
-    /// and reads the rank-`k` error off their spectra.
-    fn assemble(
-        shape: &ConvShape,
-        config: &CompressionConfig,
-        array: ArrayConfig,
-        profile: &GroupErrorProfile,
-        k: usize,
-        cycles: CompressedCycles,
-        baseline_sdk_cycles: u64,
-    ) -> Result<Self> {
         profile.check_rank(k)?;
         Ok(Self {
             shape: *shape,
@@ -231,18 +153,25 @@ mod tests {
     use super::*;
     use crate::config::RankSpec;
 
-    fn layer() -> (ConvShape, Tensor4) {
-        let shape = ConvShape::square(64, 64, 3, 1, 1, 8).unwrap();
-        let weight = Tensor4::kaiming_for(&shape, 77).unwrap();
-        (shape, weight)
+    fn layer() -> ConvShape {
+        ConvShape::square(64, 64, 3, 1, 1, 8).unwrap()
+    }
+
+    /// Compresses the layer seeded with 77 on a fresh cache.
+    fn compress(
+        shape: &ConvShape,
+        cfg: &CompressionConfig,
+        array: ArrayConfig,
+    ) -> LayerCompression {
+        LayerCompression::compress(shape, cfg, array, 77, &DecompCache::new()).unwrap()
     }
 
     #[test]
     fn compress_resolves_rank_from_divisor() {
-        let (shape, weight) = layer();
+        let shape = layer();
         let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
         let array = ArrayConfig::square(64).unwrap();
-        let c = LayerCompression::compress(&shape, &weight, &cfg, array).unwrap();
+        let c = compress(&shape, &cfg, array);
         assert_eq!(c.rank(), 8);
         assert_eq!(c.groups(), 4);
         assert!(c.relative_error() > 0.0 && c.relative_error() < 1.0);
@@ -250,62 +179,54 @@ mod tests {
 
     #[test]
     fn sdk_config_beats_non_sdk_config_on_cycles() {
-        let (shape, weight) = layer();
+        let shape = layer();
         let array = ArrayConfig::square(64).unwrap();
-        let with_sdk = LayerCompression::compress(
+        let with_sdk = compress(
             &shape,
-            &weight,
             &CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap(),
             array,
-        )
-        .unwrap();
-        let without_sdk = LayerCompression::compress(
+        );
+        let without_sdk = compress(
             &shape,
-            &weight,
             &CompressionConfig::new(RankSpec::Divisor(8), 4, false).unwrap(),
             array,
-        )
-        .unwrap();
+        );
         assert!(with_sdk.cycles() <= without_sdk.cycles());
     }
 
     #[test]
     fn grouping_improves_error_at_same_rank() {
-        let (shape, weight) = layer();
+        let shape = layer();
         let array = ArrayConfig::square(64).unwrap();
-        let g1 = LayerCompression::compress(
+        let g1 = compress(
             &shape,
-            &weight,
             &CompressionConfig::new(RankSpec::Divisor(8), 1, true).unwrap(),
             array,
-        )
-        .unwrap();
-        let g4 = LayerCompression::compress(
+        );
+        let g4 = compress(
             &shape,
-            &weight,
             &CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap(),
             array,
-        )
-        .unwrap();
+        );
         assert!(g4.relative_error() <= g1.relative_error() + 1e-12);
     }
 
     #[test]
     fn compression_reduces_parameters() {
-        let (shape, weight) = layer();
+        let shape = layer();
         let array = ArrayConfig::square(64).unwrap();
         let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
-        let c = LayerCompression::compress(&shape, &weight, &cfg, array).unwrap();
+        let c = compress(&shape, &cfg, array);
         assert!(c.compression_ratio() > 1.0);
         assert!(c.parameter_count() < c.dense_parameter_count());
     }
 
     #[test]
     fn proposed_method_beats_im2col_baseline_on_cycles() {
-        let (shape, weight) = layer();
+        let shape = layer();
         let array = ArrayConfig::square(64).unwrap();
         let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
-        let c = LayerCompression::compress(&shape, &weight, &cfg, array).unwrap();
+        let c = compress(&shape, &cfg, array);
         assert!(c.speedup_vs_im2col() > 1.0);
         assert!(c.cycles() < c.baseline_im2col_cycles());
     }
@@ -315,10 +236,9 @@ mod tests {
         // 16 output channels, 27 input columns, 8 groups -> blocks of 3-4
         // columns; a divisor-2 rank request (8) must clamp to the block max.
         let shape = ConvShape::square(3, 16, 3, 1, 1, 32).unwrap();
-        let weight = Tensor4::kaiming_for(&shape, 5).unwrap();
         let cfg = CompressionConfig::new(RankSpec::Divisor(2), 8, false).unwrap();
         let array = ArrayConfig::square(32).unwrap();
-        let c = LayerCompression::compress(&shape, &weight, &cfg, array).unwrap();
+        let c = LayerCompression::compress(&shape, &cfg, array, 5, &DecompCache::new()).unwrap();
         assert!(c.rank() <= 3);
     }
 }

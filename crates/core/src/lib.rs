@@ -25,16 +25,17 @@
 //!
 //! ```
 //! use imc_array::ArrayConfig;
-//! use imc_core::{CompressionConfig, LayerCompression, RankSpec};
-//! use imc_tensor::{ConvShape, Tensor4};
+//! use imc_core::{CompressionConfig, DecompCache, LayerCompression, RankSpec};
+//! use imc_tensor::ConvShape;
 //!
-//! // A ResNet-20 stage-3 layer: 64 -> 64 channels, 8x8 feature map.
+//! // A ResNet-20 stage-3 layer: 64 -> 64 channels, 8x8 feature map, with
+//! // Kaiming weights drawn from seed 42.
 //! let shape = ConvShape::square(64, 64, 3, 1, 1, 8).unwrap();
-//! let weight = Tensor4::kaiming_for(&shape, 42).unwrap();
 //! let config = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
 //! let array = ArrayConfig::square(64).unwrap();
+//! let cache = DecompCache::new();
 //!
-//! let compressed = LayerCompression::compress(&shape, &weight, &config, array).unwrap();
+//! let compressed = LayerCompression::compress(&shape, &config, array, 42, &cache).unwrap();
 //! assert!(compressed.cycles() < imc_array::im2col_mapping(&shape, array).cycles());
 //! assert!(compressed.relative_error() < 1.0);
 //! ```

@@ -10,9 +10,9 @@
 //! * [`svd`] — a QR-preconditioned one-sided Jacobi singular value
 //!   decomposition together with rank-`k` truncation (Eckart–Young optimal
 //!   low-rank approximation).
-//! * [`qr`] — Householder QR decomposition and least-squares solves.
-//! * [`kron`] — Kronecker products and block-diagonal embeddings, used by the
-//!   SDK-aware low-rank mapping (`D(SDK(W)) = (I_N ⊗ L)·SDK(R)`).
+//! * [`qr`] — Householder QR decomposition, the SVD's preconditioner.
+//! * [`kron`] — identity Kronecker products and block-diagonal embeddings,
+//!   used by the SDK-aware low-rank mapping (`D(SDK(W)) = (I_N ⊗ L)·SDK(R)`).
 //! * [`random`] — deterministic, seeded random matrix generators used to
 //!   synthesize network weights in the absence of trained checkpoints.
 //!
@@ -44,16 +44,13 @@
 
 pub mod kron;
 pub mod matrix;
-pub mod norms;
 pub mod qr;
 pub mod random;
 pub mod scalar;
-pub mod solve;
 pub mod svd;
 
-pub use kron::{block_diag, identity_kron, kron};
+pub use kron::{block_diag, identity_kron};
 pub use matrix::Matrix;
-pub use norms::{frobenius_distance, spectral_norm};
 pub use qr::Qr;
 pub use random::{randn_matrix, randn_matrix_in, uniform_matrix, uniform_matrix_in, SeededRng};
 pub use scalar::{Precision, Scalar};
@@ -92,8 +89,8 @@ pub enum Error {
         /// Which axis (or quantity) the index refers to.
         what: &'static str,
     },
-    /// An iterative algorithm (Jacobi SVD, power iteration, …) failed to
-    /// converge within its iteration budget.
+    /// An iterative algorithm (the Jacobi SVD) failed to converge within its
+    /// iteration budget.
     NoConvergence {
         /// Name of the algorithm.
         algorithm: &'static str,
@@ -107,8 +104,6 @@ pub enum Error {
         /// Maximum admissible rank for the matrix at hand.
         max: usize,
     },
-    /// A solve was attempted against a (numerically) singular system.
-    SingularSystem,
 }
 
 impl core::fmt::Display for Error {
@@ -137,7 +132,6 @@ impl core::fmt::Display for Error {
             Error::InvalidRank { requested, max } => {
                 write!(f, "invalid rank {requested}: must be in 1..={max}")
             }
-            Error::SingularSystem => write!(f, "system is singular or numerically rank-deficient"),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Householder QR decomposition and least-squares solves.
+//! Householder QR decomposition.
 //!
 //! One crate-private compact factorization, `Householder`, stores `R` and
 //! the Householder reflectors in a column-major `m × n` buffer, like
@@ -6,8 +6,7 @@
 //! preconditioner (see [`crate::svd`]): the Jacobi sweeps run on the `n × n`
 //! `Rᵀ`, and the reflectors turn the accumulated rotations into the left
 //! singular vectors. [`Qr::compute`] is built on it too, applying the
-//! reflectors to the first `n` identity columns to get its thin `Q`. QR also
-//! backs the least-squares routines in [`crate::solve`].
+//! reflectors to the first `n` identity columns to get its thin `Q`.
 //!
 //! The `f64` dot products keep the strict serial order of the rest of the
 //! reference kernels; the reflector kernel runs several columns' sums side
@@ -204,57 +203,6 @@ impl<S: Scalar> Qr<S> {
             .matmul(&self.r)
             .expect("QR factor shapes are consistent by construction")
     }
-
-    /// Solves the least-squares problem `min ‖A x − b‖₂` through the QR
-    /// factors: `R x = Qᵀ b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] if `b` has the wrong length and
-    /// [`Error::SingularSystem`] if `R` is numerically singular.
-    pub fn solve(&self, b: &[S]) -> Result<Vec<S>> {
-        if b.len() != self.q.rows() {
-            return Err(Error::ShapeMismatch {
-                left: self.q.shape(),
-                right: (b.len(), 1),
-                op: "QR solve",
-            });
-        }
-        let qtb = self.q.transpose().matvec(b)?;
-        back_substitute(&self.r, &qtb)
-    }
-}
-
-/// Solves the upper-triangular system `R x = y` by back substitution.
-///
-/// # Errors
-///
-/// Returns [`Error::SingularSystem`] when a diagonal entry is numerically
-/// zero (below [`Scalar::SOLVE_TOL`]) and [`Error::ShapeMismatch`] on
-/// incompatible dimensions.
-#[allow(clippy::needless_range_loop)] // triangular solve reads clearer with explicit indices
-pub fn back_substitute<S: Scalar>(r: &Matrix<S>, y: &[S]) -> Result<Vec<S>> {
-    let n = r.cols();
-    if r.rows() != n || y.len() != n {
-        return Err(Error::ShapeMismatch {
-            left: r.shape(),
-            right: (y.len(), 1),
-            op: "back substitution",
-        });
-    }
-    let mut x = vec![S::ZERO; n];
-    for i in (0..n).rev() {
-        let mut sum = y[i];
-        for j in (i + 1)..n {
-            sum -= r.get(i, j) * x[j];
-        }
-        let diag = r.get(i, i);
-        if diag.abs() <= S::SOLVE_TOL {
-            return Err(Error::SingularSystem);
-        }
-        x[i] = sum / diag;
-    }
-    Ok(x)
 }
 
 #[cfg(test)]
@@ -292,45 +240,5 @@ mod tests {
     fn qr_rejects_wide_matrices() {
         let a = randn_matrix(3, 5, 1.0, 1);
         assert!(matches!(Qr::compute(&a), Err(Error::ShapeMismatch { .. })));
-    }
-
-    #[test]
-    fn least_squares_recovers_exact_solution_of_square_system() {
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]).unwrap();
-        let x_true = vec![1.0, -2.0];
-        let b = a.matvec(&x_true).unwrap();
-        let qr = Qr::compute(&a).unwrap();
-        let x = qr.solve(&b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-10);
-        assert!((x[1] + 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn least_squares_residual_is_orthogonal_to_columns() {
-        let a = randn_matrix(20, 4, 1.0, 77);
-        let b: Vec<f64> = (0..20).map(|i| (i as f64).sin()).collect();
-        let qr = Qr::compute(&a).unwrap();
-        let x = qr.solve(&b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        let residual: Vec<f64> = b.iter().zip(ax.iter()).map(|(bi, axi)| bi - axi).collect();
-        // Normal equations: Aᵀ r = 0 at the least-squares optimum.
-        let at_r = a.transpose().matvec(&residual).unwrap();
-        assert!(at_r.iter().all(|&v| v.abs() < 1e-8));
-    }
-
-    #[test]
-    fn solve_validates_rhs_length() {
-        let a = randn_matrix(6, 3, 1.0, 5);
-        let qr = Qr::compute(&a).unwrap();
-        assert!(qr.solve(&[1.0; 5]).is_err());
-    }
-
-    #[test]
-    fn back_substitution_detects_singularity() {
-        let r = Matrix::from_rows(&[vec![1.0, 2.0], vec![0.0, 0.0]]).unwrap();
-        assert!(matches!(
-            back_substitute(&r, &[1.0, 1.0]),
-            Err(Error::SingularSystem)
-        ));
     }
 }

@@ -1,20 +1,20 @@
 //! The scalar abstraction underneath every kernel in this crate.
 //!
 //! [`Scalar`] is the contract a floating-point element type must satisfy for
-//! [`Matrix`](crate::Matrix), the Jacobi SVD, QR, the solvers, the norms and
-//! the Kronecker helpers to compile for it. Exactly two implementations
+//! [`Matrix`](crate::Matrix), the Jacobi SVD, QR and the Kronecker helpers
+//! to compile for it. Exactly two implementations
 //! exist — [`f64`] (the bit-exact reference the experiment goldens are pinned
 //! to) and [`f32`] (the half-width fast path) — and the differential test
 //! harness (`tests/differential.rs`) certifies every `f32` kernel against the
 //! `f64` oracle under per-kernel error budgets.
 //!
-//! The trait deliberately exposes *tolerances* as associated constants
-//! ([`Scalar::JACOBI_TOL`], [`Scalar::POWER_ITER_TOL`],
-//! [`Scalar::SOLVE_TOL`]): an iterative kernel converges to a residual that
-//! scales with the unit roundoff of its element type, so the thresholds must
-//! widen with the type. The `f64` constants are byte-for-byte the values the
-//! kernels used before the crate went generic, which is what keeps the
-//! `Matrix<f64>` path bit-identical to the pre-generic implementation.
+//! The trait deliberately exposes its convergence *tolerance* as an
+//! associated constant ([`Scalar::JACOBI_TOL`]): an iterative kernel
+//! converges to a residual that scales with the unit roundoff of its element
+//! type, so the threshold must widen with the type. The `f64` constant is
+//! byte-for-byte the value the kernel used before the crate went generic,
+//! which is what keeps the `Matrix<f64>` path bit-identical to the
+//! pre-generic implementation.
 
 use core::fmt::{Debug, Display};
 use core::iter::Sum;
@@ -24,7 +24,7 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 ///
 /// Implemented for `f32` and `f64` only; the arithmetic supertraits mirror
 /// what the kernels actually do, and the associated constants pin the
-/// per-width convergence and singularity tolerances.
+/// per-width convergence tolerance.
 pub trait Scalar:
     Copy
     + Default
@@ -60,14 +60,6 @@ pub trait Scalar:
     const PI: Self;
     /// Relative off-diagonal tolerance of the one-sided Jacobi SVD.
     const JACOBI_TOL: Self;
-    /// Convergence tolerance of the spectral-norm power iteration.
-    const POWER_ITER_TOL: Self;
-    /// Diagonal magnitude below which a triangular solve reports a singular
-    /// system.
-    const SOLVE_TOL: Self;
-    /// A tiny positive floor keeping relative-change convergence tests finite
-    /// near zero.
-    const TINY: Self;
     /// Short lowercase type name (`"f32"` / `"f64"`), used to tag benchmark
     /// records and test diagnostics.
     const NAME: &'static str;
@@ -125,9 +117,6 @@ impl Scalar for f64 {
     const MIN_POSITIVE: Self = f64::MIN_POSITIVE;
     const PI: Self = core::f64::consts::PI;
     const JACOBI_TOL: Self = 1e-12;
-    const POWER_ITER_TOL: Self = 1e-12;
-    const SOLVE_TOL: Self = 1e-14;
-    const TINY: Self = 1e-30;
     const NAME: &'static str = "f64";
 
     #[inline]
@@ -175,9 +164,6 @@ impl Scalar for f32 {
     // off-diagonal mass at rounding level without burning sweeps that cannot
     // improve a single-precision result.
     const JACOBI_TOL: Self = 1e-6;
-    const POWER_ITER_TOL: Self = 1e-6;
-    const SOLVE_TOL: Self = 1e-6;
-    const TINY: Self = 1e-30;
     const NAME: &'static str = "f32";
 
     #[inline]
@@ -304,8 +290,6 @@ mod tests {
         // kernels instantiated at f64 must behave exactly like the concrete
         // implementation they replaced.
         assert_eq!(<f64 as Scalar>::JACOBI_TOL, 1e-12);
-        assert_eq!(<f64 as Scalar>::POWER_ITER_TOL, 1e-12);
-        assert_eq!(<f64 as Scalar>::SOLVE_TOL, 1e-14);
         assert_eq!(<f64 as Scalar>::EPSILON, f64::EPSILON);
     }
 

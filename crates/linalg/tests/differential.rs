@@ -19,12 +19,11 @@
 //! | kernel | budget | rationale |
 //! |---|---|---|
 //! | `transpose`, `submatrix`, stacking, `split_*` | **exact** | pure data movement, no arithmetic |
-//! | element-wise (`add`, `sub`, `hadamard`, `scale`, `kron`) | few-ULP absolute | one rounding per element plus rounded inputs |
+//! | element-wise (`add`, `sub`, `hadamard`, `scale`) | few-ULP absolute | one rounding per element plus rounded inputs |
 //! | `matmul`, `matvec` | `~k·eps` scaled by operand norms | length-`k` dot-product accumulation |
 //! | `frobenius_norm`, `sum` | `~sqrt(len)·eps` relative | pairwise-free serial accumulation |
 //! | Jacobi SVD | `~1e-4` relative to `σ_max` | iterative, stopped at `JACOBI_TOL = 1e-6` |
-//! | QR / `least_squares` / `solve_matrix` | `~1e-4` (well-conditioned) | Householder backward stability × modest condition numbers |
-//! | `spectral_norm` | `~1e-4` relative | power iteration stopped at `POWER_ITER_TOL = 1e-6` |
+//! | QR | `~1e-4` (well-conditioned) | Householder backward stability × modest condition numbers |
 //!
 //! A failure here means the fast path drifted outside its contract — not
 //! that the tolerance needs loosening. Keep the budgets tight enough to
@@ -36,10 +35,9 @@
 //! The two agree to rounding, not bit for bit.
 
 use imc_linalg::random::{kaiming_matrix_in, low_rank_matrix_in, randn_matrix_in, SeededRng};
-use imc_linalg::solve::{inverse, least_squares, solve_matrix};
 use imc_linalg::{
-    block_diag, frobenius_distance, identity_kron, kron, spectral_norm, uniform_matrix,
-    uniform_matrix_in, Matrix, Qr, Scalar, Svd, TruncatedSvd,
+    block_diag, identity_kron, uniform_matrix, uniform_matrix_in, Matrix, Qr, Scalar, Svd,
+    TruncatedSvd,
 };
 
 const EPS32: f64 = f32::EPSILON as f64;
@@ -66,6 +64,11 @@ fn pair(rows: usize, cols: usize, std: f64, seed: u64) -> (Matrix<f64>, Matrix<f
         randn_matrix_in::<f64>(rows, cols, std, seed),
         randn_matrix_in::<f32>(rows, cols, std, seed),
     )
+}
+
+/// Frobenius distance `‖A − B‖_F` of two equally shaped matrices.
+fn frobenius_distance<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> imc_linalg::Result<S> {
+    Ok(a.sub(b)?.frobenius_norm())
 }
 
 /// Relative Frobenius distance between an `f32` result (widened) and its
@@ -189,15 +192,7 @@ fn kron_family_stays_within_ulp_budget() {
     for &seed in SEEDS {
         let (a64, a32) = pair(4, 3, 1.0, seed);
         let (b64, b32) = pair(3, 5, 1.0, seed ^ 0x55);
-        let k64 = kron(&a64, &b64).cast::<f32>();
-        let k32 = kron(&a32, &b32);
-        for (o, f) in k64.as_slice().iter().zip(k32.as_slice()) {
-            assert!(
-                ulp_distance(*o, *f) <= ELEMENTWISE_ULP_BUDGET,
-                "kron seed {seed}: {o} vs {f}"
-            );
-        }
-        // Structured embeddings are data movement around those products.
+        // The structured embeddings are pure data movement: exact.
         assert_eq!(identity_kron(3, &b32), identity_kron(3, &b64).cast::<f32>());
         assert_eq!(
             block_diag(&[a32.clone(), b32.clone()]).unwrap(),
@@ -704,72 +699,6 @@ fn qr_factors_track_the_oracle() {
                     assert_eq!(qr32.r().get(i, j), 0.0);
                 }
             }
-        }
-    }
-}
-
-/// Solves amplify the oracle distance by the condition number; the diagonally
-/// dominant systems used here keep `cond(A)` small, so `1e-3` is generous.
-const SOLVE_BUDGET: f64 = 1e-3;
-
-#[test]
-fn least_squares_and_matrix_solves_track_the_oracle() {
-    for &seed in SEEDS {
-        // Overdetermined consistent system.
-        let (a64, a32) = pair(30, 5, 1.0, seed);
-        let x_true: Vec<f64> = (0..5).map(|i| i as f64 - 2.0).collect();
-        let b64 = a64.matvec(&x_true).unwrap();
-        let b32: Vec<f32> = b64.iter().map(|&x| x as f32).collect();
-        let x32 = least_squares(&a32, &b32).unwrap();
-        for (got, want) in x32.iter().zip(&x_true) {
-            assert!(
-                (f64::from(*got) - want).abs()
-                    <= SOLVE_BUDGET * x_true.iter().fold(0.0f64, |m, x| m.max(x.abs())),
-                "least_squares seed {seed}: {got} vs {want}"
-            );
-        }
-
-        // Diagonally dominant square system and its inverse.
-        let mut a64 = randn_matrix_in::<f64>(6, 6, 0.1, seed);
-        for i in 0..6 {
-            a64.set(i, i, a64.get(i, i) + 5.0);
-        }
-        let a32 = a64.cast::<f32>();
-        let (b64, b32) = pair(6, 4, 1.0, seed ^ 0x77);
-        let x64 = solve_matrix(&a64, &b64).unwrap();
-        let x32 = solve_matrix(&a32, &b32).unwrap();
-        assert!(
-            rel_fro(&x64, &x32) <= SOLVE_BUDGET,
-            "solve_matrix seed {seed}"
-        );
-        let inv32 = inverse(&a32).unwrap();
-        assert!(
-            a32.matmul(&inv32)
-                .unwrap()
-                .approx_eq(&Matrix::<f32>::identity(6), SOLVE_BUDGET as f32),
-            "inverse seed {seed}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Spectral norm.
-// ---------------------------------------------------------------------------
-
-/// Power iteration stops at `POWER_ITER_TOL = 1e-6` relative change at f32.
-const SPECTRAL_BUDGET: f64 = 1e-4;
-
-#[test]
-fn spectral_norm_tracks_the_oracle() {
-    for &(m, n) in &[(14usize, 9usize), (25, 25), (64, 144)] {
-        for &seed in SEEDS {
-            let (a64, a32) = pair(m, n, 1.0, seed);
-            let s64 = spectral_norm(&a64).unwrap();
-            let s32 = f64::from(spectral_norm(&a32).unwrap());
-            assert!(
-                (s64 - s32).abs() <= SPECTRAL_BUDGET * s64,
-                "spectral {m}x{n} seed {seed}: {s64} vs {s32}"
-            );
         }
     }
 }

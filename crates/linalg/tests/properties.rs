@@ -5,7 +5,7 @@
 //! count matches what the original property-test configuration explored.
 
 use imc_linalg::{
-    block_diag, identity_kron, kron, random::SeededRng, uniform_matrix, Matrix, Svd, TruncatedSvd,
+    block_diag, identity_kron, random::SeededRng, uniform_matrix, Matrix, Svd, TruncatedSvd,
 };
 
 const CASES: u64 = 48;
@@ -104,17 +104,6 @@ fn split_cols_then_hstack_roundtrips() {
         let g = (seed as usize % 4 + 1).min(m.cols());
         let parts = m.split_cols(g).unwrap();
         assert_eq!(Matrix::hstack(&parts).unwrap(), m, "seed {seed}");
-    }
-}
-
-#[test]
-fn kron_dimensions_multiply() {
-    for seed in 0..CASES {
-        let a = random_matrix(4, 4, seed);
-        let b = random_matrix(3, 3, seed + 5000);
-        let k = kron(&a, &b);
-        assert_eq!(k.rows(), a.rows() * b.rows());
-        assert_eq!(k.cols(), a.cols() * b.cols());
     }
 }
 

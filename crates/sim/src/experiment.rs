@@ -37,12 +37,12 @@
 //! into (cell, layer) jobs and runs them on a scoped worker pool
 //! ([`crate::runtime`]) — one worker per available hardware thread by
 //! default, tunable via [`Experiment::parallelism`] — folding each cell into
-//! its record once its last layer is done. A decomposition cache
-//! ([`imc_core::DecompCache`]) shares the seeded weights, per-block SVDs
-//! and window searches across cells; its misses are single-flight, so two
-//! workers that reach the same layer of two cells compute its block SVDs
-//! once. Both are pure optimizations: records come back in grid order with
-//! values bit-identical to a serial, uncached run.
+//! its record once its last layer is done. Every layer is evaluated through
+//! a decomposition cache ([`imc_core::DecompCache`]) that shares the seeded
+//! weights, per-block SVDs and window searches across cells; its misses are
+//! single-flight, so two workers that reach the same layer of two cells
+//! compute its block SVDs once. Neither changes a value: records come back
+//! in grid order, bit-identical to a serial run, under any cache budget.
 //!
 //! The cache is per-run for [`Experiment::run`]; [`Experiment::run_in`]
 //! instead borrows the long-lived cache of an
@@ -91,7 +91,6 @@ pub struct Experiment {
     seed: u64,
     parallelism: Option<usize>,
     parallelism_override: Option<usize>,
-    use_cache: bool,
     precision: Precision,
     cell_range: Option<Range<usize>>,
     frontier: bool,
@@ -107,6 +106,10 @@ pub struct Experiment {
     /// experiment's spec (possibly unused by `networks`); kept wholesale so
     /// the spec round-trip is lossless.
     pub(crate) synthetic_networks: Vec<SyntheticNetSpec>,
+    /// The `"cache"` member of the spec this experiment was resolved from.
+    /// It selects nothing (every run evaluates through a decomposition
+    /// cache) and is kept only so the spec round-trip is lossless.
+    pub(crate) spec_cache: bool,
 }
 
 impl Default for Experiment {
@@ -126,13 +129,13 @@ impl Experiment {
             seed: DEFAULT_SEED,
             parallelism: None,
             parallelism_override: None,
-            use_cache: true,
             precision: Precision::F64,
             cell_range: None,
             frontier: false,
             network_names: Vec::new(),
             strategy_specs: Vec::new(),
             synthetic_networks: Vec::new(),
+            spec_cache: true,
         }
     }
 
@@ -274,19 +277,6 @@ impl Experiment {
         self
     }
 
-    /// Enables or disables the per-run decomposition cache (default:
-    /// enabled).
-    ///
-    /// The cache shares seeded weight tensors, per-block SVD spectra and
-    /// window-search results across grid cells; every entry is a pure
-    /// function of its key, so results are bit-identical either way.
-    /// Disabling is useful only for benchmarking the uncached path.
-    #[must_use]
-    pub fn decomposition_cache(mut self, enabled: bool) -> Self {
-        self.use_cache = enabled;
-        self
-    }
-
     /// Sets the width the sweep's decomposition kernels run at (default:
     /// [`Precision::F64`], the bit-exact reference).
     ///
@@ -376,7 +366,7 @@ impl Experiment {
             seed: self.seed,
             precision: self.precision,
             parallelism: self.parallelism,
-            cache: self.use_cache,
+            cache: self.spec_cache,
             cells: self.cell_range.clone(),
             frontier: self.frontier,
             synthetic_networks: self.synthetic_networks.clone(),
@@ -403,10 +393,8 @@ impl Experiment {
     /// recomputing them.
     ///
     /// The cache is pure memoization, so a warm-session run is bit-identical
-    /// to a cold [`Experiment::run`] of the same sweep. (With
-    /// [`Experiment::decomposition_cache`] disabled, the session cache is
-    /// neither read nor written and the run is equivalent to an uncached
-    /// `run()`.)
+    /// to a cold [`Experiment::run`] of the same sweep, under any session
+    /// budget (a zero budget keeps nothing and recomputes every lookup).
     ///
     /// # Errors
     ///
@@ -426,8 +414,7 @@ impl Experiment {
                 ),
             });
         }
-        let cache = self.use_cache.then(|| session.cache());
-        self.run_with(cache)
+        self.run_with(session.cache())
     }
 
     /// Runs the full sweep: every network on every array size under every
@@ -439,10 +426,8 @@ impl Experiment {
     /// Returns [`Error::Builder`] when networks, arrays or strategies are
     /// empty, and propagates evaluation errors otherwise.
     pub fn run(self) -> Result<ExperimentRun> {
-        let cache = self
-            .use_cache
-            .then(|| DecompCache::with_precision(self.precision));
-        self.run_with(cache.as_ref())
+        let cache = DecompCache::with_precision(self.precision);
+        self.run_with(&cache)
     }
 
     /// Runs the sweep like [`Experiment::run`], additionally delivering
@@ -463,10 +448,8 @@ impl Experiment {
         self,
         sink: &mut dyn FnMut(&RunRecord) -> Result<()>,
     ) -> Result<ExperimentRun> {
-        let cache = self
-            .use_cache
-            .then(|| DecompCache::with_precision(self.precision));
-        self.run_with_sink(cache.as_ref(), Some(sink))
+        let cache = DecompCache::with_precision(self.precision);
+        self.run_with_sink(&cache, Some(sink))
     }
 
     /// The planned reproducibility manifest of this experiment — what
@@ -507,7 +490,7 @@ impl Experiment {
 
     /// The shared sweep engine behind [`Experiment::run`] (throwaway cache)
     /// and [`Experiment::run_in`] (session-owned cache).
-    fn run_with(self, cache: Option<&DecompCache>) -> Result<ExperimentRun> {
+    fn run_with(self, cache: &DecompCache) -> Result<ExperimentRun> {
         self.run_with_sink(cache, None)
     }
 
@@ -515,7 +498,7 @@ impl Experiment {
     /// grid order as they complete.
     fn run_with_sink(
         self,
-        cache: Option<&DecompCache>,
+        cache: &DecompCache,
         mut sink: Option<RecordSink<'_>>,
     ) -> Result<ExperimentRun> {
         if self.frontier {
@@ -623,7 +606,7 @@ impl Experiment {
     fn evaluate_cells(
         &self,
         cells: &[GridCell],
-        cache: Option<&DecompCache>,
+        cache: &DecompCache,
         mut deliver: impl FnMut(RunRecord) -> Result<()>,
     ) -> Result<()> {
         let layer_count = |cell: &GridCell| self.networks[cell.network_index].layers.len();
@@ -641,7 +624,6 @@ impl Experiment {
                 self.strategies[cell.strategy_index].as_ref(),
                 cell.array,
                 self.seed,
-                self.precision,
                 cache,
             )
         };
@@ -1060,7 +1042,6 @@ impl ExperimentRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::evaluate;
     use imc_core::{CompressionConfig, RankSpec};
     use imc_nn::resnet20;
 
@@ -1107,14 +1088,19 @@ mod tests {
         };
         let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
         let method = CompressionMethod::LowRank(cfg);
+        let strategy = method.strategy();
+        let array = ArrayConfig::square(64).unwrap();
         for arch in [resnet20(), layerless] {
-            let direct = evaluate(
-                &arch,
-                &method,
-                ArrayConfig::square(64).unwrap(),
-                DEFAULT_SEED,
-            )
-            .unwrap();
+            // The reference: a serial walk of the layers in order, on a
+            // fresh cache, folded once.
+            let cache = DecompCache::new();
+            let steps = (0..arch.layers.len())
+                .map(|layer| {
+                    evaluate_layer(&arch, layer, strategy.as_ref(), array, DEFAULT_SEED, &cache)
+                })
+                .collect::<Result<Vec<_>>>()
+                .unwrap();
+            let direct = fold_layers(&arch, strategy.as_ref(), array, steps);
             for workers in [1, 2] {
                 let run = Experiment::new()
                     .network(arch.clone())

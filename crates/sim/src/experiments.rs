@@ -9,12 +9,9 @@
 use std::sync::Arc;
 
 use imc_array::ArrayConfig;
-use imc_core::{
-    search_lowrank_window, CompressionConfig, DecompCache, GroupErrorProfile, Precision, RankSpec,
-};
+use imc_core::{CompressionConfig, GroupErrorProfile, RankSpec};
 use imc_energy::EnergyParams;
 use imc_nn::{resnet20, wrn16_4, AccuracyModel, NetworkArch};
-use imc_tensor::Tensor4;
 
 use crate::experiment::{Experiment, ExperimentRun};
 use crate::network::{CompressionMethod, NetworkEvaluation};
@@ -47,7 +44,8 @@ pub struct Table1Row {
     pub cycles_64_sdk: u64,
 }
 
-/// Regenerates Table I for one network.
+/// Regenerates Table I for one network: [`table1_in`] on a fresh session,
+/// with one worker per available hardware thread.
 ///
 /// The accuracy column uses the rank-sweep error profiles (one SVD per
 /// layer/group pair) and the calibrated accuracy model; the cycle columns use
@@ -57,59 +55,7 @@ pub struct Table1Row {
 ///
 /// Propagates decomposition and mapping errors.
 pub fn table1(arch: &NetworkArch, seed: u64) -> Result<Vec<Table1Row>> {
-    table1_with(arch, seed, Precision::F64, None)
-}
-
-/// The fully explicit Table I generator: like [`table1`], with the
-/// decomposition [`Precision`] and the worker count of the profile
-/// computation chosen by the caller.
-///
-/// The per-(layer, group) error profiles — one SVD sweep each, the dominant
-/// cost of the table — are computed on the [`crate::runtime`] work pool
-/// (`None` uses one worker per available hardware thread). Every profile is
-/// a pure function of `(layer geometry, layer seed, group count, precision)`
-/// and results are collected in flat (layer-major, then group) order, so the
-/// rows are byte-identical for every worker count; `Precision::F64` rows are
-/// byte-identical to [`table1`].
-///
-/// # Errors
-///
-/// Propagates decomposition and mapping errors. When several profile jobs
-/// fail, the error of the first failing (layer, group) pair in flat order is
-/// reported — exactly what a serial loop would surface.
-pub fn table1_with(
-    arch: &NetworkArch,
-    seed: u64,
-    precision: Precision,
-    parallelism: Option<usize>,
-) -> Result<Vec<Table1Row>> {
-    table1_impl(arch, seed, precision, parallelism, None)
-}
-
-/// The session variant of [`table1`]: per-(layer, group) block SVDs, window
-/// searches and cycle accountings are sourced from (and written back to) the
-/// session's shared decomposition cache, so a warm session regenerates the
-/// table without re-running a single SVD.
-///
-/// Rows are bit-identical to [`table1_with`] at the session's precision, for
-/// every worker count and cache state — the cache is pure memoization.
-///
-/// # Errors
-///
-/// Same contract as [`table1_with`].
-pub fn table1_in(
-    arch: &NetworkArch,
-    seed: u64,
-    parallelism: Option<usize>,
-    session: &EvalSession,
-) -> Result<Vec<Table1Row>> {
-    table1_impl(
-        arch,
-        seed,
-        session.precision(),
-        parallelism,
-        Some(session.cache()),
-    )
+    table1_in(arch, seed, None, &EvalSession::new())
 }
 
 /// The Table I grid as a declarative [`Experiment`]: the low-rank
@@ -187,21 +133,38 @@ pub fn table1_rows_from_run(run: &ExperimentRun) -> Result<Vec<Table1Row>> {
     Ok(rows)
 }
 
-fn table1_impl(
+/// The session form of [`table1`]: per-(layer, group) block SVDs, window
+/// searches and cycle accountings are sourced from (and written back to) the
+/// session's shared decomposition cache, at the session's precision, so a
+/// warm session regenerates the table without re-running a single SVD.
+///
+/// The per-(layer, group) error profiles — one SVD sweep each, the dominant
+/// cost of the table — are computed on the [`crate::runtime`] work pool
+/// (`None` uses one worker per available hardware thread). Every profile is
+/// a pure function of `(layer geometry, layer seed, group count, precision)`
+/// and results are collected in flat (layer-major, then group) order, so the
+/// rows are bit-identical for every worker count and cache state.
+///
+/// # Errors
+///
+/// Propagates decomposition and mapping errors. When several profile jobs
+/// fail, the error of the first failing (layer, group) pair in flat order is
+/// reported — exactly what a serial loop would surface.
+pub fn table1_in(
     arch: &NetworkArch,
     seed: u64,
-    precision: Precision,
     parallelism: Option<usize>,
-    cache: Option<&DecompCache>,
+    session: &EvalSession,
 ) -> Result<Vec<Table1Row>> {
+    let cache = session.cache();
     let accuracy_model = AccuracyModel::for_network(arch);
     let arrays = [ArrayConfig::square(32)?, ArrayConfig::square(64)?];
     let groups_sweep = [1usize, 2, 4, 8];
     let rank_sweep = RankSpec::paper_divisors();
 
-    // Pre-compute error profiles per (layer, group count) on the work pool,
-    // one job per (layer, group) pair. Each job re-derives its seeded weight
-    // matrix (cheap next to the SVDs it feeds) so jobs share no state.
+    // Fetch the error profiles per (layer, group count) on the work pool,
+    // one job per (layer, group) pair: the very block spectra the strategy
+    // engine reads its errors from.
     let convs = arch.compressible_convs();
     let mut weights_share: Vec<f64> = Vec::with_capacity(convs.len());
     for (_, shape) in &convs {
@@ -214,19 +177,7 @@ fn table1_impl(
         let (_, shape) = &convs[index];
         let layer_seed = seed.wrapping_add(index as u64).wrapping_mul(0x9E37_79B9);
         let g = groups_sweep[gi].min(shape.im2col_rows());
-        match cache {
-            // Session runs share the block spectra through the cache: the
-            // very profiles the strategy engine reads its errors from.
-            Some(cache) => Ok(cache.block_svds(shape, layer_seed, g)?),
-            None => {
-                let weight = Tensor4::kaiming_for(shape, layer_seed)?;
-                Ok(Arc::new(GroupErrorProfile::compute_with_precision(
-                    &weight.to_im2col_matrix(),
-                    g,
-                    precision,
-                )?))
-            }
-        }
+        Ok(cache.block_svds(shape, layer_seed, g)?)
     };
     let mut flat_profiles = Vec::with_capacity(jobs);
     if workers <= 1 {
@@ -280,18 +231,9 @@ fn table1_impl(
                                 let shape = layer.conv.expect("conv layers carry a conv shape");
                                 if layer.compressible {
                                     let (g, k) = config.resolve(&shape)?;
-                                    total += match cache {
-                                        Some(cache) => cache
-                                            .lowrank_cycles(&shape, k, g, *array, *use_sdk)?
-                                            .total(),
-                                        None if *use_sdk => {
-                                            search_lowrank_window(&shape, k, g, array)?.total()
-                                        }
-                                        None => {
-                                            imc_core::lowrank_im2col_cycles(&shape, k, g, array)?
-                                                .total()
-                                        }
-                                    };
+                                    total += cache
+                                        .lowrank_cycles(&shape, k, g, *array, *use_sdk)?
+                                        .total();
                                 } else {
                                     total += imc_array::im2col_mapping(&shape, *array).cycles();
                                 }
@@ -389,71 +331,31 @@ fn pareto_point(eval: &NetworkEvaluation) -> ParetoPoint {
     }
 }
 
-/// Regenerates one panel of Fig. 6.
+/// Regenerates one panel of Fig. 6: the [`fig6_experiment`] sweep on a
+/// fresh cache, with one worker per available hardware thread.
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors.
 pub fn fig6(arch: &NetworkArch, array_size: usize, seed: u64) -> Result<Fig6Panel> {
-    fig6_with_parallelism(arch, array_size, seed, None)
+    fig6_panel_from_run(&fig6_experiment(arch, array_size, seed).run()?)
 }
 
-/// Like [`fig6`], but with an explicit worker count for the sweep
-/// (`None` uses one worker per available hardware thread).
+/// The session form of [`fig6`]: the sweep runs through
+/// [`Experiment::run_in`] at the session's precision, so repeated panels
+/// (across array sizes, reruns, or other figures of the same session) share
+/// one decomposition cache. `parallelism` sets the worker count (`None` uses
+/// one worker per available hardware thread).
 ///
-/// The worker count changes neither the record order nor any value — this
-/// knob exists for callers that must bound thread usage (and for the
-/// determinism tests asserting serial and parallel panels are identical).
-///
-/// # Errors
-///
-/// Propagates evaluation errors.
-pub fn fig6_with_parallelism(
-    arch: &NetworkArch,
-    array_size: usize,
-    seed: u64,
-    parallelism: Option<usize>,
-) -> Result<Fig6Panel> {
-    fig6_with(arch, array_size, seed, parallelism, Precision::F64)
-}
-
-/// The fully explicit Fig. 6 generator: like [`fig6`], with the worker count
-/// and the decomposition [`Precision`] of the sweep chosen by the caller.
-///
-/// `Precision::F64` panels are byte-identical to [`fig6`] for every worker
-/// count; `Precision::F32` runs the low-rank grid's SVDs in single precision
-/// (cycles are unchanged — they depend only on layer geometry — and the
+/// `F64` panels are bit-identical to [`fig6`] for every worker count and
+/// cache state. `F32` runs the low-rank grid's SVDs in single precision:
+/// cycles are unchanged (they depend only on layer geometry), and the
 /// accuracy column drifts within the budgets asserted by the precision test
-/// suite).
+/// suite.
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors.
-pub fn fig6_with(
-    arch: &NetworkArch,
-    array_size: usize,
-    seed: u64,
-    parallelism: Option<usize>,
-    precision: Precision,
-) -> Result<Fig6Panel> {
-    let mut experiment = fig6_experiment(arch, array_size, seed).precision(precision);
-    if let Some(workers) = parallelism {
-        experiment = experiment.parallelism(workers);
-    }
-    fig6_panel_from_run(&experiment.run()?)
-}
-
-/// The session variant of [`fig6`]: the sweep runs through
-/// [`Experiment::run_in`], so repeated panels (across array sizes, reruns,
-/// or other figures of the same session) share one decomposition cache.
-///
-/// Panels are bit-identical to [`fig6_with`] at the session's precision, for
-/// every worker count and cache state.
-///
-/// # Errors
-///
-/// Propagates evaluation errors, and rejects sessions whose precision the
-/// experiment cannot honor (see [`Experiment::run_in`]).
 pub fn fig6_in(
     arch: &NetworkArch,
     array_size: usize,

@@ -17,7 +17,7 @@
 //!   implementations; external methods implement the trait and plug in
 //!   without touching this crate.
 //! * [`network`] — the evaluation engine walking a whole network under one
-//!   strategy ([`network::evaluate_strategy`]), producing a
+//!   strategy through a shared decomposition cache, producing a
 //!   [`network::NetworkEvaluation`].
 //! * [`experiment`] — the builder-style [`Experiment`] facade sweeping
 //!   networks × array sizes × strategies; the figure generators in
@@ -79,15 +79,12 @@ pub mod synth;
 
 pub use experiment::{Experiment, ExperimentRun, FrontierOutcome, RunRecord};
 pub use experiments::{
-    fig6, fig6_experiment, fig6_in, fig6_panel_from_run, fig6_with, fig6_with_parallelism, fig7,
-    fig7_experiment, fig8, fig8_experiment, fig9, fig9_experiment, fig9_for, headline, table1,
-    table1_experiment, table1_in, table1_rows_from_run, table1_with, DEFAULT_SEED,
+    fig6, fig6_experiment, fig6_in, fig6_panel_from_run, fig7, fig7_experiment, fig8,
+    fig8_experiment, fig9, fig9_experiment, fig9_for, headline, table1, table1_experiment,
+    table1_in, table1_rows_from_run, DEFAULT_SEED,
 };
 pub use json::JsonValue;
-pub use network::{
-    evaluate_strategy, evaluate_strategy_cached, evaluate_strategy_with, CompressionMethod,
-    NetworkEvaluation,
-};
+pub use network::{CompressionMethod, NetworkEvaluation};
 pub use registry::Registry;
 pub use serve::{RunKey, ServeClient, ServeConfig, ServeMetrics, Server};
 pub use session::{EvalSession, EvalSessionBuilder};
@@ -102,8 +99,8 @@ pub use synth::{ChannelRamp, StageSpec, SyntheticNetSpec};
 // next to `DecompCache` in `imc-core`.
 pub use imc_core::{CacheStats, KindStats};
 
-// The decomposition-precision knob consumed by `Experiment::precision`,
-// `table1_with` and `fig6_with`; defined in `imc-linalg`.
+// The decomposition-precision knob consumed by `Experiment::precision` and
+// `EvalSession::builder().precision(..)`; defined in `imc-linalg`.
 pub use imc_core::Precision;
 
 /// Errors produced by the experiment harness.

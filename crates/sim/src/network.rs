@@ -1,18 +1,18 @@
 //! Whole-network evaluation under one compression strategy.
 //!
-//! [`evaluate_strategy`] is the engine: it walks the network once, charges
-//! linear and non-compressible layers with the dense im2col cost shared by
-//! every method, and delegates each compressible convolution to the
-//! [`CompressionStrategy`] under evaluation. The walk is a per-layer step
-//! and an in-order fold of the steps' outcomes; the
-//! [`Experiment`](crate::experiment::Experiment) scheduler runs the same two
-//! halves, with the steps of many cells as parallel jobs.
+//! The engine walks a network once: it charges linear and non-compressible
+//! layers with the dense im2col cost shared by every method, and delegates
+//! each compressible convolution to the [`CompressionStrategy`] under
+//! evaluation, with the run's shared [`DecompCache`]. The walk is a
+//! per-layer step and an in-order fold of the steps' outcomes; the
+//! [`Experiment`](crate::experiment::Experiment) scheduler, the one public
+//! way to evaluate, runs the steps of many cells as parallel jobs.
 //! [`CompressionMethod`] is the closed enum of the paper's five methods,
 //! kept as a convenient, copyable description that lowers onto the
 //! built-in strategies.
 
 use imc_array::{linear_mapping, ArrayConfig};
-use imc_core::{CompressionConfig, DecompCache, Precision};
+use imc_core::{CompressionConfig, DecompCache};
 use imc_energy::{AccessSchedule, EnergyParams, PeripheralKind};
 use imc_nn::{AccuracyModel, NetworkArch};
 use imc_tensor::LayerKind;
@@ -21,7 +21,7 @@ use crate::strategy::{
     dense_im2col_outcome, tile_schedule, CompressionStrategy, ConvContext, DoReFa, Im2col,
     LayerOutcome, LowRank, Pairs, PatDnn, Sdk,
 };
-use crate::{Error, Result};
+use crate::Result;
 
 /// The compression method applied to a network.
 ///
@@ -102,96 +102,6 @@ impl NetworkEvaluation {
     }
 }
 
-/// Evaluates `arch` under `strategy` on square arrays of configuration
-/// `array`.
-///
-/// Weight tensors are synthesized deterministically from `seed` (one derived
-/// seed per layer, handed to the strategy via [`ConvContext::seed`]), so
-/// repeated calls give identical results. Linear layers and non-compressible
-/// convolutions are charged the dense im2col cost common to every method;
-/// compressible convolutions are delegated to the strategy.
-///
-/// # Errors
-///
-/// Propagates configuration and mapping errors from the underlying crates
-/// and any error the strategy raises.
-pub fn evaluate_strategy(
-    arch: &NetworkArch,
-    strategy: &dyn CompressionStrategy,
-    array: ArrayConfig,
-    seed: u64,
-) -> Result<NetworkEvaluation> {
-    evaluate_strategy_with(arch, strategy, array, seed, Precision::F64, None)
-}
-
-/// Like [`evaluate_strategy`], but sourcing repeated work (seeded weights,
-/// per-block SVDs, window searches) from a shared [`DecompCache`].
-///
-/// The cache is a pure memoization layer: for the same inputs this returns
-/// exactly what [`evaluate_strategy`] returns, bit for bit. The
-/// [`Experiment`](crate::experiment::Experiment) sweep creates one cache per
-/// run and shares it across all grid cells (and worker threads), so each
-/// network's decompositions are computed once instead of once per
-/// (array × strategy) cell.
-///
-/// # Errors
-///
-/// Same contract as [`evaluate_strategy`].
-pub fn evaluate_strategy_cached(
-    arch: &NetworkArch,
-    strategy: &dyn CompressionStrategy,
-    array: ArrayConfig,
-    seed: u64,
-    cache: &DecompCache,
-) -> Result<NetworkEvaluation> {
-    evaluate_strategy_with(arch, strategy, array, seed, cache.precision(), Some(cache))
-}
-
-/// The fully explicit evaluation entry point: like [`evaluate_strategy`],
-/// with the decomposition [`Precision`] chosen by the caller and an optional
-/// shared [`DecompCache`].
-///
-/// `Precision::F64` (with or without cache) reproduces [`evaluate_strategy`]
-/// bit for bit. `Precision::F32` runs the SVD-bound strategy kernels in
-/// single precision while weights, cycles, accuracy and energy reporting all
-/// stay `f64`.
-///
-/// # Errors
-///
-/// Same contract as [`evaluate_strategy`], plus [`Error::Builder`] when a
-/// supplied cache was built for a *different* precision than the one
-/// requested: the cached strategy path decomposes at the cache's precision
-/// while uncached strategies would follow `precision`, and silently mixing
-/// the two inside one evaluation would defeat both the reproducibility of
-/// `F64` and the certified budgets of `F32`. (The
-/// [`Experiment`](crate::experiment::Experiment) builder always constructs a
-/// matching cache.)
-pub fn evaluate_strategy_with(
-    arch: &NetworkArch,
-    strategy: &dyn CompressionStrategy,
-    array: ArrayConfig,
-    seed: u64,
-    precision: Precision,
-    cache: Option<&DecompCache>,
-) -> Result<NetworkEvaluation> {
-    if let Some(cache) = cache {
-        if cache.precision() != precision {
-            return Err(Error::Builder {
-                what: format!(
-                    "decomposition cache was built for {} but the evaluation requested {} \
-                     (create the cache with DecompCache::with_precision)",
-                    cache.precision(),
-                    precision
-                ),
-            });
-        }
-    }
-    let layers = (0..arch.layers.len())
-        .map(|index| evaluate_layer(arch, index, strategy, array, seed, precision, cache))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(fold_layers(arch, strategy, array, layers))
-}
-
 /// One layer's share of a network evaluation: what the layer costs, plus
 /// its dense weight count (the weight of its error in the accuracy model).
 #[derive(Debug)]
@@ -200,22 +110,21 @@ pub(crate) struct LayerStep {
     dense_params: usize,
 }
 
-/// Evaluates layer `index` of `arch`: the per-layer step of
-/// [`evaluate_strategy_with`]. Steps share no state, so the steps of one
-/// network (and of many networks) may run on any threads in any order;
-/// [`fold_layers`] restores the layer order.
+/// Evaluates layer `index` of `arch`: the per-layer step of the walk.
+/// Steps share no state but the cache, whose entries are pure functions of
+/// their keys, so the steps of one network (and of many networks) may run
+/// on any threads in any order; [`fold_layers`] restores the layer order.
 ///
 /// Linear layers and non-compressible convolutions are charged the dense
 /// im2col cost common to every method; compressible convolutions are
-/// delegated to the strategy with the layer's derived seed.
+/// delegated to the strategy with the layer's derived seed and `cache`.
 pub(crate) fn evaluate_layer(
     arch: &NetworkArch,
     index: usize,
     strategy: &dyn CompressionStrategy,
     array: ArrayConfig,
     seed: u64,
-    precision: Precision,
-    cache: Option<&DecompCache>,
+    cache: &DecompCache,
 ) -> Result<LayerStep> {
     let layer = &arch.layers[index];
     match layer.kind {
@@ -241,16 +150,12 @@ pub(crate) fn evaluate_layer(
         LayerKind::Conv => {
             let shape = layer.conv.expect("conv layers carry a conv shape");
             let outcome = if layer.compressible {
-                let ctx = ConvContext {
+                strategy.compress_conv(&ConvContext {
                     shape: &shape,
                     array,
                     seed: seed.wrapping_add(index as u64).wrapping_mul(0x9E37_79B9),
-                    precision,
-                };
-                match cache {
-                    Some(cache) => strategy.compress_conv_cached(&ctx, cache)?,
-                    None => strategy.compress_conv(&ctx)?,
-                }
+                    cache,
+                })?
             } else {
                 // Non-compressible layers of every method share the dense
                 // im2col mapping.
@@ -313,23 +218,6 @@ pub(crate) fn fold_layers(
     }
 }
 
-/// Evaluates `arch` under `method` on square arrays of configuration `array`.
-///
-/// Convenience wrapper lowering the [`CompressionMethod`] description onto
-/// its built-in strategy; see [`evaluate_strategy`].
-///
-/// # Errors
-///
-/// Propagates configuration and mapping errors from the underlying crates.
-pub fn evaluate(
-    arch: &NetworkArch,
-    method: &CompressionMethod,
-    array: ArrayConfig,
-    seed: u64,
-) -> Result<NetworkEvaluation> {
-    evaluate_strategy(arch, method.strategy().as_ref(), array, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +226,21 @@ mod tests {
 
     fn array64() -> ArrayConfig {
         ArrayConfig::square(64).unwrap()
+    }
+
+    /// A serial walk of `arch` under `method` on a fresh cache.
+    fn evaluate(
+        arch: &NetworkArch,
+        method: &CompressionMethod,
+        array: ArrayConfig,
+        seed: u64,
+    ) -> Result<NetworkEvaluation> {
+        let strategy = method.strategy();
+        let cache = DecompCache::new();
+        let layers = (0..arch.layers.len())
+            .map(|index| evaluate_layer(arch, index, strategy.as_ref(), array, seed, &cache))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(fold_layers(arch, strategy.as_ref(), array, layers))
     }
 
     #[test]

@@ -89,9 +89,12 @@ impl EvalSession {
         self.cache.budget_bytes()
     }
 
-    /// The shared decomposition cache, for callers composing their own
-    /// evaluation loops (e.g.
-    /// [`evaluate_strategy_with`](crate::network::evaluate_strategy_with)).
+    /// The shared decomposition cache, for callers that read or warm its
+    /// entries directly (e.g. [`DecompCache::block_svds`] or
+    /// [`DecompCache::decomposition`]); [`Experiment::run_in`] and the
+    /// `*_in` figure generators evaluate through it.
+    ///
+    /// [`Experiment::run_in`]: crate::experiment::Experiment::run_in
     pub fn cache(&self) -> &DecompCache {
         &self.cache
     }

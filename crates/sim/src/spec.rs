@@ -32,12 +32,13 @@
 //!   header: readers reject unknown formats and versions.
 //! * `seed` (default [`DEFAULT_SEED`]) and `precision` (`"f64"` — the
 //!   default — or `"f32"`) pin reproducibility.
-//! * Three optional members tune execution without changing results:
-//!   `"parallelism": N` (worker count; omitted = one per hardware thread),
-//!   `"cache": false` (disable the per-run decomposition cache; benchmarking
-//!   only) and `"cells": {"start": A, "end": B}` (restrict the run to a cell
+//! * Two optional members tune execution without changing results:
+//!   `"parallelism": N` (worker count; omitted = one per hardware thread)
+//!   and `"cells": {"start": A, "end": B}` (restrict the run to a cell
 //!   range of the grid — the sharding primitive, usually supplied by the
-//!   driver via `imc run --cells` instead of baked into the spec).
+//!   driver via `imc run --cells` instead of baked into the spec). A third,
+//!   `"cache": false`, is accepted and kept for round-trips, but selects
+//!   nothing: every run evaluates through a decomposition cache.
 //! * `"frontier": true` (default `false`) requests a frontier run
 //!   ([`Experiment::frontier`]): the full grid runs, and only the records on
 //!   the per-method-series accuracy/cycles Pareto front of each (network,
@@ -515,8 +516,10 @@ pub struct ExperimentSpec {
     /// Worker count; `None` = one per available hardware thread. Never
     /// affects results.
     pub parallelism: Option<usize>,
-    /// Whether the per-run decomposition cache is enabled (default `true`;
-    /// disabling exists only for benchmarking and never affects results).
+    /// The `"cache"` member (default `true`). It selects nothing — every run
+    /// evaluates through a decomposition cache, which never affects results
+    /// — and is kept so stored documents that carry `"cache": false` still
+    /// parse, run and round-trip unchanged.
     pub cache: bool,
     /// Restriction to a contiguous cell range of the grid (the sharding
     /// primitive); `None` = the full grid.
@@ -829,10 +832,7 @@ impl ExperimentSpec {
     /// Returns [`Error::Spec`] for names the registry does not know (the
     /// message lists the registered names).
     pub fn into_experiment(&self, registry: &Registry) -> Result<Experiment> {
-        let mut experiment = Experiment::new()
-            .seed(self.seed)
-            .precision(self.precision)
-            .decomposition_cache(self.cache);
+        let mut experiment = Experiment::new().seed(self.seed).precision(self.precision);
         if let Some(workers) = self.parallelism {
             experiment = experiment.parallelism(workers);
         }
@@ -840,9 +840,10 @@ impl ExperimentSpec {
             experiment = experiment.cells(cells.clone());
         }
         experiment = experiment.frontier_mode(self.frontier);
-        // Carry the generator documents wholesale (used or not) so the
-        // round-trip back to a spec is lossless.
+        // Carry the generator documents wholesale (used or not), and the
+        // `cache` member, so the round-trip back to a spec is lossless.
         experiment.synthetic_networks = self.synthetic_networks.clone();
+        experiment.spec_cache = self.cache;
         for name in &self.networks {
             // Inline generator documents shadow the registry: a spec that
             // carries a synthetic network resolves it without any
@@ -1427,12 +1428,24 @@ mod tests {
     fn spec_resolves_and_round_trips_through_the_registry() {
         let registry = Registry::new();
         let spec = fixture_spec();
-        let experiment = spec.into_experiment(&registry).unwrap();
+        let mut uncached = fixture_spec();
+        uncached.cache = false;
+        let mut runs = Vec::new();
+        for spec in [&spec, &uncached] {
+            let experiment = spec.into_experiment(&registry).unwrap();
+            assert_eq!(
+                experiment.grid_cells(),
+                6,
+                "1 network x 2 arrays x 3 strategies"
+            );
+            assert_eq!(&experiment.to_spec().unwrap(), spec, "lossless round-trip");
+            runs.push(experiment.run().unwrap().to_jsonl().unwrap());
+        }
+        // `"cache": false` selects nothing: same key, same bytes.
         assert_eq!(
-            experiment.grid_cells(),
-            6,
-            "1 network x 2 arrays x 3 strategies"
+            crate::serve::RunKey::of(&uncached),
+            crate::serve::RunKey::of(&spec)
         );
-        assert_eq!(experiment.to_spec().unwrap(), spec, "lossless round-trip");
+        assert_eq!(runs[0], runs[1]);
     }
 }

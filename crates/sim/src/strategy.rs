@@ -2,7 +2,8 @@
 //!
 //! [`CompressionStrategy`] is the seam through which every compression
 //! method — the paper's group low-rank mapping and all four baselines — is
-//! evaluated by [`crate::network::evaluate_strategy`]. A strategy answers one
+//! evaluated by the network walk behind
+//! [`Experiment`](crate::experiment::Experiment). A strategy answers one
 //! question: *given one compressible convolution on one array configuration,
 //! what does it cost?* The answer is a [`LayerOutcome`]: computing cycles,
 //! stored parameters, the relative weight-reconstruction error feeding the
@@ -10,15 +11,18 @@
 //!
 //! External code can add a new method without touching this crate: implement
 //! the trait and hand the strategy to
-//! [`Experiment`](crate::experiment::Experiment) (or call
-//! [`evaluate_strategy`](crate::network::evaluate_strategy) directly).
+//! [`Experiment`](crate::experiment::Experiment). A strategy that needs the
+//! layer's weights, block spectra or mapping searches reads them from the
+//! run's shared [`DecompCache`] through [`ConvContext::cache`].
 //!
 //! The five built-in strategies ([`Im2col`], [`Sdk`], [`LowRank`],
 //! [`PatDnn`], [`Pairs`], [`DoReFa`]) reproduce the paper's comparison and
 //! are what [`crate::network::CompressionMethod`] lowers to.
 
-use imc_array::{im2col_mapping, search_best_window, tiles_for, ArrayConfig};
-use imc_core::{CompressionConfig, DecompCache, LayerCompression, Precision};
+use std::sync::Arc;
+
+use imc_array::{im2col_mapping, tiles_for, ArrayConfig};
+use imc_core::{CompressionConfig, DecompCache, LayerCompression};
 use imc_energy::{AccessSchedule, PeripheralKind};
 use imc_nn::AccuracyModel;
 use imc_pruning::{PairsPruning, PatternPruning, Peripheral};
@@ -38,19 +42,21 @@ pub struct ConvContext<'a> {
     /// deterministically from the experiment seed and the layer index, so a
     /// strategy that draws weights stays reproducible.
     pub seed: u64,
-    /// Width the strategy should run its decomposition kernels at (the
-    /// experiment's [`Precision`] knob). Weight synthesis and all reporting
-    /// stay `f64` regardless; only SVD-bound hot paths (the paper's low-rank
-    /// method) consult this. Strategies without such a kernel ignore it.
-    pub precision: Precision,
+    /// The run's shared decomposition cache: seeded weights, block spectra
+    /// and mapping searches, each computed once per key. Its
+    /// [`precision`](DecompCache::precision) is the width the SVD-bound
+    /// kernels run at; weight synthesis and all reporting stay `f64`. Every
+    /// entry is a pure function of its key, so results are the same bits
+    /// under any cache budget.
+    pub cache: &'a DecompCache,
 }
 
 impl ConvContext<'_> {
     /// The deterministic weight tensor of this layer (Kaiming-initialized
     /// from the per-layer seed) — what every weight-dependent strategy
     /// compresses.
-    pub fn weight(&self) -> Result<Tensor4> {
-        Ok(Tensor4::kaiming_for(self.shape, self.seed)?)
+    pub fn weight(&self) -> Result<Arc<Tensor4>> {
+        Ok(self.cache.weight(self.shape, self.seed)?)
     }
 }
 
@@ -92,29 +98,6 @@ pub trait CompressionStrategy: Send + Sync {
     /// implementations can use [`crate::Error::strategy`] for their own
     /// failure modes.
     fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome>;
-
-    /// Like [`CompressionStrategy::compress_conv`], but with access to the
-    /// sweep's shared [`DecompCache`], so repeated work (seeded weights,
-    /// per-block SVDs, window searches) is computed once per run instead of
-    /// once per grid cell.
-    ///
-    /// The default implementation ignores the cache and delegates to
-    /// [`CompressionStrategy::compress_conv`] — external strategies stay
-    /// correct with zero changes and can opt into caching by overriding.
-    /// Overrides must return exactly what `compress_conv` would (the cache is
-    /// a pure memoization layer, never an approximation).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CompressionStrategy::compress_conv`].
-    fn compress_conv_cached(
-        &self,
-        ctx: &ConvContext<'_>,
-        cache: &DecompCache,
-    ) -> Result<LayerOutcome> {
-        let _ = cache;
-        self.compress_conv(ctx)
-    }
 
     /// Network-level accuracy from the per-layer `(relative_error, weight)`
     /// pairs collected over the whole network.
@@ -196,9 +179,14 @@ impl CompressionStrategy for Im2col {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sdk;
 
-impl Sdk {
-    fn outcome_from(ctx: &ConvContext<'_>, best: &imc_array::WindowSearchResult) -> LayerOutcome {
-        LayerOutcome {
+impl CompressionStrategy for Sdk {
+    fn label(&self) -> String {
+        "SDK baseline".to_owned()
+    }
+
+    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome> {
+        let best = ctx.cache.best_window(ctx.shape, ctx.array)?;
+        Ok(LayerOutcome {
             cycles: best.cycles as f64,
             parameters: ctx.shape.weight_count(),
             relative_error: 0.0,
@@ -209,27 +197,7 @@ impl Sdk {
                 &ctx.array,
                 PeripheralKind::None,
             )],
-        }
-    }
-}
-
-impl CompressionStrategy for Sdk {
-    fn label(&self) -> String {
-        "SDK baseline".to_owned()
-    }
-
-    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome> {
-        let best = search_best_window(ctx.shape, ctx.array)?;
-        Ok(Self::outcome_from(ctx, &best))
-    }
-
-    fn compress_conv_cached(
-        &self,
-        ctx: &ConvContext<'_>,
-        cache: &DecompCache,
-    ) -> Result<LayerOutcome> {
-        let best = cache.best_window(ctx.shape, ctx.array)?;
-        Ok(Self::outcome_from(ctx, &best))
+        })
     }
 
     fn network_accuracy(&self, model: &AccuracyModel, _layer_errors: &[(f64, f64)]) -> f64 {
@@ -253,11 +221,19 @@ impl LowRank {
     pub fn config(&self) -> CompressionConfig {
         self.config
     }
+}
 
-    /// Lowers a per-layer compression summary onto the outcome contract
+impl CompressionStrategy for LowRank {
+    fn label(&self) -> String {
+        format!("ours ({})", self.config.label())
+    }
+
+    /// Lowers the layer's compression summary onto the outcome contract
     /// (cycles, parameters, error, and the two factor-stage schedules).
-    fn outcome_from(&self, ctx: &ConvContext<'_>, compressed: &LayerCompression) -> LayerOutcome {
+    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome> {
         let shape = ctx.shape;
+        let compressed =
+            LayerCompression::compress(shape, &self.config, ctx.array, ctx.seed, ctx.cache)?;
         let breakdown = compressed.cycle_breakdown();
         let gk = compressed.groups() * compressed.rank();
         let mut schedules = Vec::with_capacity(2);
@@ -288,40 +264,12 @@ impl LowRank {
             &ctx.array,
             PeripheralKind::None,
         ));
-        LayerOutcome {
+        Ok(LayerOutcome {
             cycles: compressed.cycles() as f64,
             parameters: compressed.parameter_count(),
             relative_error: compressed.relative_error(),
             schedules,
-        }
-    }
-}
-
-impl CompressionStrategy for LowRank {
-    fn label(&self) -> String {
-        format!("ours ({})", self.config.label())
-    }
-
-    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome> {
-        let weight = ctx.weight()?;
-        let compressed = LayerCompression::compress_with_precision(
-            ctx.shape,
-            &weight,
-            &self.config,
-            ctx.array,
-            ctx.precision,
-        )?;
-        Ok(self.outcome_from(ctx, &compressed))
-    }
-
-    fn compress_conv_cached(
-        &self,
-        ctx: &ConvContext<'_>,
-        cache: &DecompCache,
-    ) -> Result<LayerOutcome> {
-        let compressed =
-            LayerCompression::compress_cached(ctx.shape, &self.config, ctx.array, ctx.seed, cache)?;
-        Ok(self.outcome_from(ctx, &compressed))
+        })
     }
 }
 
@@ -369,11 +317,16 @@ pub struct Pairs {
     pub entries: usize,
 }
 
-impl Pairs {
-    fn outcome_for(&self, ctx: &ConvContext<'_>, weight: &Tensor4) -> Result<LayerOutcome> {
+impl CompressionStrategy for Pairs {
+    fn label(&self) -> String {
+        format!("PAIRS ({} entries)", self.entries)
+    }
+
+    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome> {
+        let weight = ctx.weight()?;
         let dense_params = ctx.shape.weight_count();
         let pruning = PairsPruning::new(self.entries)?;
-        let mapped = pruning.map_layer(ctx.shape, weight, ctx.array)?;
+        let mapped = pruning.map_layer(ctx.shape, &weight, ctx.array)?;
         let kept = ((1.0 - mapped.removed_fraction) * dense_params as f64).round() as usize;
         Ok(LayerOutcome {
             cycles: mapped.cycles() as f64,
@@ -390,26 +343,6 @@ impl Pairs {
     }
 }
 
-impl CompressionStrategy for Pairs {
-    fn label(&self) -> String {
-        format!("PAIRS ({} entries)", self.entries)
-    }
-
-    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome> {
-        let weight = ctx.weight()?;
-        self.outcome_for(ctx, &weight)
-    }
-
-    fn compress_conv_cached(
-        &self,
-        ctx: &ConvContext<'_>,
-        cache: &DecompCache,
-    ) -> Result<LayerOutcome> {
-        let weight = cache.weight(ctx.shape, ctx.seed)?;
-        self.outcome_for(ctx, &weight)
-    }
-}
-
 /// A DoReFa-quantized (otherwise dense) model.
 #[derive(Debug, Clone, Copy)]
 pub struct DoReFa {
@@ -417,20 +350,17 @@ pub struct DoReFa {
     pub bits: usize,
 }
 
-impl DoReFa {
-    fn outcome_for(
-        &self,
-        ctx: &ConvContext<'_>,
-        cache: Option<&DecompCache>,
-    ) -> Result<LayerOutcome> {
+impl CompressionStrategy for DoReFa {
+    fn label(&self) -> String {
+        format!("{}-bit quantized", self.bits)
+    }
+
+    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome> {
         let shape = ctx.shape;
         let quant = QuantConfig::new(self.bits, self.bits)?;
         let cycles = imc_quant::quantized_conv_cycles(shape, &ctx.array, &quant)?;
         let quant_array = ctx.array.with_weight_bits(self.bits)?;
-        let best = match cache {
-            Some(cache) => cache.best_window(shape, quant_array)?,
-            None => search_best_window(shape, quant_array)?,
-        };
+        let best = ctx.cache.best_window(shape, quant_array)?;
         let mut sched = tile_schedule(
             best.mapping.mapped.rows_used,
             best.mapping.mapped.cols_used,
@@ -446,24 +376,6 @@ impl DoReFa {
             schedules: vec![sched],
         })
     }
-}
-
-impl CompressionStrategy for DoReFa {
-    fn label(&self) -> String {
-        format!("{}-bit quantized", self.bits)
-    }
-
-    fn compress_conv(&self, ctx: &ConvContext<'_>) -> Result<LayerOutcome> {
-        self.outcome_for(ctx, None)
-    }
-
-    fn compress_conv_cached(
-        &self,
-        ctx: &ConvContext<'_>,
-        cache: &DecompCache,
-    ) -> Result<LayerOutcome> {
-        self.outcome_for(ctx, Some(cache))
-    }
 
     fn network_accuracy(&self, model: &AccuracyModel, _layer_errors: &[(f64, f64)]) -> f64 {
         model.quantized_accuracy(self.bits)
@@ -475,12 +387,12 @@ mod tests {
     use super::*;
     use imc_core::RankSpec;
 
-    fn ctx_fixture(shape: &ConvShape) -> ConvContext<'_> {
+    fn ctx_fixture<'a>(shape: &'a ConvShape, cache: &'a DecompCache) -> ConvContext<'a> {
         ConvContext {
             shape,
             array: ArrayConfig::square(64).unwrap(),
             seed: 7,
-            precision: Precision::F64,
+            cache,
         }
     }
 
@@ -501,7 +413,8 @@ mod tests {
     #[test]
     fn lossless_strategies_report_zero_error() {
         let shape = ConvShape::square(16, 16, 3, 1, 1, 16).unwrap();
-        let ctx = ctx_fixture(&shape);
+        let cache = DecompCache::new();
+        let ctx = ctx_fixture(&shape, &cache);
         for strategy in [&Im2col as &dyn CompressionStrategy, &Sdk] {
             let outcome = strategy.compress_conv(&ctx).unwrap();
             assert_eq!(outcome.relative_error, 0.0);
@@ -513,7 +426,8 @@ mod tests {
     #[test]
     fn lowrank_strategy_produces_two_stage_schedules() {
         let shape = ConvShape::square(32, 32, 3, 1, 1, 16).unwrap();
-        let ctx = ctx_fixture(&shape);
+        let cache = DecompCache::new();
+        let ctx = ctx_fixture(&shape, &cache);
         let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
         let outcome = LowRank::new(cfg).compress_conv(&ctx).unwrap();
         assert_eq!(outcome.schedules.len(), 2, "factor stages L and R");
@@ -524,7 +438,8 @@ mod tests {
     #[test]
     fn strategies_are_deterministic_in_the_context_seed() {
         let shape = ConvShape::square(16, 16, 3, 1, 1, 16).unwrap();
-        let ctx = ctx_fixture(&shape);
+        let cache = DecompCache::new();
+        let ctx = ctx_fixture(&shape, &cache);
         let strategy = Pairs { entries: 4 };
         let a = strategy.compress_conv(&ctx).unwrap();
         let b = strategy.compress_conv(&ctx).unwrap();

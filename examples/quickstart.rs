@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use imc::array::{sdk_matrix, ParallelWindow};
-use imc::core::{GroupLowRank, LayerCompression, LowRankFactors, SdkLowRank};
+use imc::core::{DecompCache, GroupLowRank, LayerCompression, LowRankFactors, SdkLowRank};
 use imc::tensor::{ConvShape, Tensor4};
 use imc::{resnet20, ArrayConfig, CompressionConfig, CompressionMethod, Experiment, RankSpec};
 
@@ -44,8 +44,8 @@ fn main() {
 
     // Cycle accounting for the compressed layer.
     let config = CompressionConfig::new(RankSpec::Divisor(8), 4, true).expect("valid config");
-    let compressed =
-        LayerCompression::compress(&shape, &weight, &config, array).expect("compression succeeds");
+    let compressed = LayerCompression::compress(&shape, &config, array, 42, &DecompCache::new())
+        .expect("compression succeeds");
     println!(
         "Layer cycles on 64x64 arrays:\n  im2col baseline:      {}\n  SDK baseline:         {}\n  ours ({}):  {}   ({:.2}x speed-up vs im2col)\n",
         compressed.baseline_im2col_cycles(),
@@ -56,7 +56,7 @@ fn main() {
     );
 
     // Whole-network headline comparison on ResNet-20, via the builder facade:
-    // one declarative sweep instead of three hand-rolled evaluate() calls.
+    // one declarative sweep over the three compared methods.
     let run = Experiment::new()
         .network(resnet20())
         .array(64)

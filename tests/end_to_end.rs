@@ -3,17 +3,16 @@
 //! experiment harness (sim) and the empirical training path (nn + core).
 
 use imc::array::{assemble_sdk_output, unroll_parallel_window, ArrayConfig, ParallelWindow};
-use imc::core::{GroupLowRank, LayerCompression, LowRankFactors, SdkLowRank};
+use imc::core::{DecompCache, GroupLowRank, LayerCompression, LowRankFactors, SdkLowRank};
 use imc::linalg::random::SeededRng;
 use imc::nn::{Mlp, SyntheticDataset, TrainConfig};
 use imc::sim::experiments::{fig7, table1};
-use imc::sim::network::evaluate;
 use imc::strategy::{CompressionStrategy, ConvContext, LayerOutcome};
 use imc::tensor::im2col::conv2d_with_matrix;
 use imc::tensor::{ConvShape, FeatureMap, Tensor4};
 use imc::{
-    resnet20, CompressionConfig, CompressionMethod, EnergyParams, Experiment, RankSpec,
-    DEFAULT_SEED,
+    resnet20, CompressionConfig, CompressionMethod, EnergyParams, EvalSession, Experiment,
+    RankSpec, DEFAULT_SEED,
 };
 
 fn random_feature_map(c: usize, h: usize, w: usize, seed: u64) -> FeatureMap {
@@ -100,36 +99,6 @@ fn network_level_comparison_reproduces_the_paper_orderings() {
     assert!(ours.eval.accuracy >= traditional.eval.accuracy - 1e-9);
     // Compression actually reduces stored parameters.
     assert!(ours.eval.parameters < baseline.eval.parameters);
-}
-
-#[test]
-fn builder_sweep_matches_direct_evaluation() {
-    // The facade must not change any number: a builder cell and a direct
-    // `evaluate` call are the same computation.
-    let arch = resnet20();
-    let cfg = CompressionConfig::new(RankSpec::Divisor(4), 2, true).expect("valid config");
-    let method = CompressionMethod::LowRank(cfg);
-    let array = ArrayConfig::square(64).expect("valid array");
-    let direct = evaluate(&arch, &method, array, DEFAULT_SEED).expect("direct evaluation");
-    let run = Experiment::new()
-        .network(arch)
-        .array(64)
-        .method(method)
-        .run()
-        .expect("builder evaluation");
-    let built = &run.records()[0].eval;
-    assert_eq!(
-        format!(
-            "{} {} {} {}",
-            built.method, built.cycles, built.accuracy, built.parameters
-        ),
-        format!(
-            "{} {} {} {}",
-            direct.method, direct.cycles, direct.accuracy, direct.parameters
-        ),
-    );
-    let params = EnergyParams::default();
-    assert_eq!(built.energy(&params), direct.energy(&params));
 }
 
 /// A toy compression method defined entirely *outside* the workspace crates:
@@ -339,10 +308,12 @@ fn external_strategy_is_wire_addressable_through_the_registry() {
 #[test]
 fn parallel_and_serial_sweeps_are_byte_identical() {
     // The sweep scheduler and the decomposition cache are pure optimizations:
-    // worker count and cache state must change neither the record order nor a
-    // single bit of any value.
+    // worker count and cache budget must change neither the record order nor
+    // a single bit of any value. A zero-budget session keeps no entry, so it
+    // recomputes every lookup: the "uncached" run.
     let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).expect("valid config");
-    let sweep = |workers: usize, cached: bool| {
+    let uncached_session = EvalSession::builder().cache_budget_bytes(0).build();
+    let sweep = |workers: usize, session: &EvalSession| {
         Experiment::new()
             .network(resnet20())
             .arrays([32, 64])
@@ -354,13 +325,13 @@ fn parallel_and_serial_sweeps_are_byte_identical() {
             .method(CompressionMethod::Pairs { entries: 4 })
             .method(CompressionMethod::Quantized { bits: 2 })
             .parallelism(workers)
-            .decomposition_cache(cached)
-            .run()
+            .run_in(session)
             .expect("sweep succeeds")
     };
-    let serial = sweep(1, true);
-    let parallel = sweep(8, true);
-    let uncached = sweep(8, false);
+    let serial = sweep(1, &EvalSession::new());
+    let parallel = sweep(8, &EvalSession::new());
+    let uncached = sweep(8, &uncached_session);
+    assert!(uncached_session.stats().evictions() > 0);
     // `RunRecord` derives `Debug` over every field (including all f64 cycle,
     // accuracy and schedule values), so equal debug strings mean the runs are
     // byte-identical.
@@ -371,10 +342,19 @@ fn parallel_and_serial_sweeps_are_byte_identical() {
 
 #[test]
 fn parallel_and_serial_reports_render_identically() {
-    use imc::sim::experiments::fig6_with_parallelism;
+    use imc::sim::experiments::fig6_in;
     use imc::sim::report::fig6_markdown;
-    let serial = fig6_with_parallelism(&resnet20(), 64, DEFAULT_SEED, Some(1)).expect("panel");
-    let parallel = fig6_with_parallelism(&resnet20(), 64, DEFAULT_SEED, Some(8)).expect("panel");
+    let panel = |workers| {
+        fig6_in(
+            &resnet20(),
+            64,
+            DEFAULT_SEED,
+            Some(workers),
+            &EvalSession::new(),
+        )
+    };
+    let serial = panel(1).expect("panel");
+    let parallel = panel(8).expect("panel");
     assert_eq!(fig6_markdown(&serial), fig6_markdown(&parallel));
 }
 
@@ -456,11 +436,13 @@ fn trained_mlp_prefers_group_low_rank_at_aggressive_ranks() {
 #[test]
 fn layer_compression_is_deterministic_across_calls() {
     let shape = ConvShape::square(32, 32, 3, 1, 1, 16).expect("valid shape");
-    let weight = Tensor4::kaiming_for(&shape, 5).expect("valid weights");
     let cfg = CompressionConfig::new(RankSpec::Divisor(4), 2, true).expect("valid config");
     let array = ArrayConfig::square(64).expect("valid array");
-    let a = LayerCompression::compress(&shape, &weight, &cfg, array).expect("compression");
-    let b = LayerCompression::compress(&shape, &weight, &cfg, array).expect("compression");
+    let compress = || {
+        LayerCompression::compress(&shape, &cfg, array, 5, &DecompCache::new())
+            .expect("compression")
+    };
+    let (a, b) = (compress(), compress());
     assert_eq!(a.cycles(), b.cycles());
     assert!((a.relative_error() - b.relative_error()).abs() < 1e-15);
 }

@@ -51,7 +51,7 @@ fn walk_errors_are_table1_tails_and_match_the_reconstruction() {
                 let config = CompressionConfig::new(rank, groups, true).unwrap();
                 let (g, k) = config.resolve(&shape).unwrap();
                 let label = format!("{shape:?} seed {seed:#x} g={g} k={k}");
-                let walk = LayerCompression::compress_cached(&shape, &config, array, seed, &cache)
+                let walk = LayerCompression::compress(&shape, &config, array, seed, &cache)
                     .unwrap()
                     .relative_error();
                 assert_eq!(
@@ -107,10 +107,10 @@ fn a_zero_group_count_is_a_classified_error_on_every_path() {
 
     let (shape, seed) = walk_layers(DEFAULT_SEED)[0];
     let array = ArrayConfig::square(64).unwrap();
-    let err = LayerCompression::compress_cached(&shape, &zero, array, seed, &DecompCache::new())
-        .unwrap_err();
+    let err =
+        LayerCompression::compress(&shape, &zero, array, seed, &DecompCache::new()).unwrap_err();
     assert!(
         matches!(err, imc::core::Error::InvalidConfig { .. }),
-        "compress_cached: {err:?}"
+        "compress: {err:?}"
     );
 }

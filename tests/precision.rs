@@ -16,22 +16,25 @@
 //!   accuracy model agree to ~1e-5 relative, far below what the calibrated
 //!   error → accuracy curve can resolve).
 
-use imc::core::DecompCache;
-use imc::sim::evaluate_strategy_with;
-use imc::sim::experiments::{fig6, fig6_with, table1, table1_with};
-use imc::ArrayConfig;
+use imc::sim::experiments::{fig6, fig6_in, table1, table1_in};
 use imc::{
-    resnet20, CompressionConfig, CompressionMethod, Experiment, Precision, RankSpec, DEFAULT_SEED,
+    resnet20, CompressionConfig, CompressionMethod, EvalSession, Experiment, Precision, RankSpec,
+    DEFAULT_SEED,
 };
 
 /// Maximum admissible drift of any modelled accuracy (in percentage points)
 /// when the decomposition kernels run in `f32` instead of `f64`.
 const ACCURACY_BUDGET_PP: f64 = 0.05;
 
+/// A fresh session whose decomposition kernels run in `f32`.
+fn f32_session() -> EvalSession {
+    EvalSession::builder().precision(Precision::F32).build()
+}
+
 #[test]
 fn table1_parallel_rows_are_bitwise_identical_to_serial() {
-    let serial = table1_with(&resnet20(), DEFAULT_SEED, Precision::F64, Some(1)).unwrap();
-    let parallel = table1_with(&resnet20(), DEFAULT_SEED, Precision::F64, Some(8)).unwrap();
+    let serial = table1_in(&resnet20(), DEFAULT_SEED, Some(1), &EvalSession::new()).unwrap();
+    let parallel = table1_in(&resnet20(), DEFAULT_SEED, Some(8), &EvalSession::new()).unwrap();
     let default = table1(&resnet20(), DEFAULT_SEED).unwrap();
     assert_eq!(serial.len(), parallel.len());
     assert_eq!(serial.len(), default.len());
@@ -59,7 +62,7 @@ fn table1_parallel_rows_are_bitwise_identical_to_serial() {
 #[test]
 fn table1_f32_rows_match_f64_goldens_within_budget() {
     let golden = table1(&resnet20(), DEFAULT_SEED).unwrap();
-    let fast = table1_with(&resnet20(), DEFAULT_SEED, Precision::F32, None).unwrap();
+    let fast = table1_in(&resnet20(), DEFAULT_SEED, None, &f32_session()).unwrap();
     assert_eq!(golden.len(), fast.len());
     for (g, f) in golden.iter().zip(&fast) {
         assert_eq!(g.groups, f.groups);
@@ -84,7 +87,7 @@ fn table1_f32_rows_match_f64_goldens_within_budget() {
 #[test]
 fn fig6_f32_pareto_front_matches_f64_golden_within_budget() {
     let golden = fig6(&resnet20(), 64, DEFAULT_SEED).unwrap();
-    let fast = fig6_with(&resnet20(), 64, DEFAULT_SEED, None, Precision::F32).unwrap();
+    let fast = fig6_in(&resnet20(), 64, DEFAULT_SEED, None, &f32_session()).unwrap();
 
     assert_eq!(golden.baseline_cycles, fast.baseline_cycles);
     assert_eq!(golden.baseline_accuracy, fast.baseline_accuracy);
@@ -151,19 +154,23 @@ fn explicit_f64_precision_is_bitwise_identical_to_default() {
 #[test]
 fn f32_sweep_preserves_cycles_and_bounds_accuracy_drift() {
     let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
-    let run_at = |precision: Precision, cached: bool| {
+    let sweep = |precision: Precision| {
         Experiment::new()
             .network(resnet20())
             .array(64)
             .method(CompressionMethod::LowRank(cfg))
             .precision(precision)
-            .decomposition_cache(cached)
-            .run()
-            .unwrap()
     };
-    let golden = run_at(Precision::F64, true);
-    for cached in [true, false] {
-        let fast = run_at(Precision::F32, cached);
+    let golden = sweep(Precision::F64).run().unwrap();
+    // A zero-budget session keeps no entry and recomputes every lookup: the
+    // "uncached" f32 sweep.
+    let uncached = EvalSession::builder()
+        .precision(Precision::F32)
+        .cache_budget_bytes(0)
+        .build();
+    let via_cache = sweep(Precision::F32).run().unwrap();
+    let direct = sweep(Precision::F32).run_in(&uncached).unwrap();
+    for (cached, fast) in [(true, &via_cache), (false, &direct)] {
         let (g, f) = (&golden.records()[0].eval, &fast.records()[0].eval);
         assert_eq!(g.cycles, f.cycles, "cached={cached}");
         assert_eq!(g.parameters, f.parameters, "cached={cached}");
@@ -174,58 +181,12 @@ fn f32_sweep_preserves_cycles_and_bounds_accuracy_drift() {
             g.accuracy,
             f.accuracy
         );
-        // The two f32 paths (shared cache on/off) must agree exactly with
-        // each other: the cache is memoization, not approximation.
     }
-    let via_cache = run_at(Precision::F32, true);
-    let direct = run_at(Precision::F32, false);
+    // The two f32 runs must agree exactly with each other: the cache is
+    // memoization, not approximation.
     assert_eq!(
         via_cache.records()[0].eval.accuracy.to_bits(),
         direct.records()[0].eval.accuracy.to_bits(),
         "cached and uncached f32 sweeps must be bit-identical"
     );
-}
-
-#[test]
-fn mismatched_cache_precision_is_rejected_not_silently_mixed() {
-    let cfg = CompressionConfig::new(RankSpec::Divisor(8), 4, true).unwrap();
-    let strategy = CompressionMethod::LowRank(cfg).strategy();
-    let f64_cache = DecompCache::new();
-    let err = evaluate_strategy_with(
-        &resnet20(),
-        strategy.as_ref(),
-        ArrayConfig::square(64).unwrap(),
-        DEFAULT_SEED,
-        Precision::F32,
-        Some(&f64_cache),
-    )
-    .unwrap_err();
-    assert!(
-        format!("{err}").contains("cache was built for f64"),
-        "unexpected error: {err}"
-    );
-
-    // A matching cache passes and equals the builder's own F32 run.
-    let f32_cache = DecompCache::with_precision(Precision::F32);
-    let direct = evaluate_strategy_with(
-        &resnet20(),
-        strategy.as_ref(),
-        ArrayConfig::square(64).unwrap(),
-        DEFAULT_SEED,
-        Precision::F32,
-        Some(&f32_cache),
-    )
-    .unwrap();
-    let via_builder = Experiment::new()
-        .network(resnet20())
-        .array(64)
-        .method(CompressionMethod::LowRank(cfg))
-        .precision(Precision::F32)
-        .run()
-        .unwrap();
-    assert_eq!(
-        direct.accuracy.to_bits(),
-        via_builder.records()[0].eval.accuracy.to_bits()
-    );
-    assert_eq!(direct.cycles, via_builder.records()[0].eval.cycles);
 }

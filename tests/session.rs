@@ -8,11 +8,17 @@
 //! * the fig6 grid split into cell-range shards, serialized to JSON lines,
 //!   read back and merged is **byte-identical** to the unsharded run.
 
-use imc::sim::experiments::{fig6_experiment, fig6_in, fig6_with, table1_in, table1_with};
+use imc::sim::experiments::{fig6, fig6_experiment, fig6_in, table1_in};
 use imc::sim::report::{fig6_markdown, table1_markdown};
 use imc::{
     resnet20, CompressionMethod, EvalSession, Experiment, ExperimentRun, Precision, DEFAULT_SEED,
 };
+
+/// A session that keeps no entry: every lookup recomputes its value, so a
+/// run in it is the "uncached" reference a warm session must reproduce.
+fn uncached() -> EvalSession {
+    EvalSession::builder().cache_budget_bytes(0).build()
+}
 
 /// Renders Table I rows with full bit fidelity (accuracy via `to_bits`).
 fn table1_fingerprint(rows: &[imc::sim::experiments::Table1Row]) -> String {
@@ -35,7 +41,7 @@ fn table1_fingerprint(rows: &[imc::sim::experiments::Table1Row]) -> String {
 
 #[test]
 fn warm_session_fig6_rerun_is_bitwise_identical_serial_and_parallel() {
-    let golden = fig6_with(&resnet20(), 64, DEFAULT_SEED, Some(1), Precision::F64).unwrap();
+    let golden = fig6_in(&resnet20(), 64, DEFAULT_SEED, Some(1), &uncached()).unwrap();
     let session = EvalSession::new();
 
     // Cold run populates the cache; warm runs (serial and parallel) hit it.
@@ -65,7 +71,7 @@ fn warm_session_fig6_rerun_is_bitwise_identical_serial_and_parallel() {
 
 #[test]
 fn warm_session_table1_rerun_is_bitwise_identical_serial_and_parallel() {
-    let golden = table1_with(&resnet20(), DEFAULT_SEED, Precision::F64, Some(1)).unwrap();
+    let golden = table1_in(&resnet20(), DEFAULT_SEED, Some(1), &uncached()).unwrap();
     let session = EvalSession::new();
 
     let cold = table1_in(&resnet20(), DEFAULT_SEED, Some(1), &session).unwrap();
@@ -137,7 +143,7 @@ fn fig6_and_table1_share_one_session_cache() {
 
 #[test]
 fn tiny_cache_budget_evicts_but_results_stay_identical() {
-    let golden = fig6_with(&resnet20(), 64, DEFAULT_SEED, None, Precision::F64).unwrap();
+    let golden = fig6(&resnet20(), 64, DEFAULT_SEED).unwrap();
 
     // A few KiB cannot hold a single weight tensor: the session thrashes,
     // evicting on nearly every insertion.
